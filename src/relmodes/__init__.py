@@ -12,10 +12,10 @@ from .errors import (InclinationSingularityError, IntegrationError,
                      PeriodicityError, RelMotionError, SingularConfigError)
 from .floquet import (CwModalDecomp, LfTransform, LtiSystem, ModalConstants,
                       cw_modal_decomp, cw_planar_eigvecs, delta_theta_solution,
-                      eigvecs_closed, is_epoch_singular, is_q1_singular,
-                      lf_defining_residual, lf_qns, lf_transform, lti_cartesian_closed,
-                      lti_closed, lti_qns, lti_spherical_closed, map_lf,
-                      map_lti, modal_constants, qns_lf_transform, qns_r21)
+                      eigvecs_closed, is_epoch_singular, lf_defining_residual,
+                      lf_qns, lf_transform, lti_cartesian_closed, lti_closed,
+                      lti_qns, lti_spherical_closed, map_lf, map_lti,
+                      modal_constants, qns_lf_transform, qns_r21)
 from .geometry import (GeoMap, SphState, cart_sph_linear, cart_sph_linear_at,
                        cart_to_sph, g_cartesian, g_inverse, g_spherical,
                        geo_map, sph_to_cart)

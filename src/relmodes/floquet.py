@@ -17,7 +17,6 @@ secular drift and its weight c6 is the boundedness condition.
 
 import dataclasses
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,29 +25,12 @@ from .errors import NearSingularMatrixError, SingularConfigError
 from .geometry import g_inverse, geo_map
 from .orbit import eval_at_theta, shorthand_abc, theta_to_time
 
-# q1 substitute in the printed P21/P25 forms. The singularity is removable,
-# so the substitution bias is O(eps), but the 1/q1 intermediates reach 4e8
-# and shred native floating point; the substituted branch is therefore
-# evaluated with mpmath so the only error left is the bias itself.
-Q1_EPS = 1e-8
 A_EPS = 1e-8    # e*sin(f0) regularization for eigenvector inversion
-
-
-def is_q1_singular(chief):
-    """True when the printed P21/P25 forms need the q1 -> eps substitute."""
-    return abs(chief.q1) < Q1_EPS
 
 
 def is_epoch_singular(chief):
     """True when e*sin(f0) ~ 0, i.e. the eigenvector matrix is singular."""
     return abs(shorthand_abc(chief).Aq) < A_EPS
-
-
-def _regularized_q1_chief(chief):
-    if not is_q1_singular(chief):
-        return chief
-    q1 = Q1_EPS if chief.q1 == 0.0 else math.copysign(Q1_EPS, chief.q1)
-    return dataclasses.replace(chief, q1=q1)
 
 
 def _regularized_shorthands(chief):
@@ -73,7 +55,6 @@ class LfTransform:
     theta0: float
     domain: str       # "qns" | "cartesian" | "spherical"
     indep: str        # "theta" | "time"
-    regularized: bool = False
 
     def __call__(self, theta):
         return self.eval_fn(theta)
@@ -126,7 +107,11 @@ class ModalConstants:
 # element-difference (QNS) reduction
 # ---------------------------------------------------------------------------
 
-# The F-function scales grow like 1/q1 and 1/kappa^2, so float64
+# The F-functions below are the regular parts of the printed forms: the
+# 1/q1 terms of F21 and F25 (3 q2/(q1 (e^2-1)) and 4/q1) are additive
+# constants, so they cancel in every F(theta0) - F(theta) difference and
+# are dropped, which leaves no singularity at q1 = 0. The F-function
+# scales still grow like 1/kappa^2 on eccentric orbits, so float64
 # evaluation leaves ~1e-13 absolute noise in their differences, which a
 # 1e-6-step derivative amplifies past the accuracy the transform can
 # otherwise deliver. Extended precision for the intermediates removes
@@ -148,102 +133,42 @@ def _atan_unwrapped(q1, q2, eta, theta):
     return np.arctan(u) + _LD(np.pi) * k
 
 
-def _f21(q1, q2, eta, theta, kappa):
-    e2 = q1 * q1 + q2 * q2
-    at = _atan_unwrapped(q1, q2, eta, theta)
-    rational = 3.0 * (q2 + e2 * np.sin(theta)) / (q1 * (e2 - 1.0) * kappa)
-    return 6.0 / eta**3 * (at - 0.5 * theta) + rational
+def _row_terms(q1, q2, eta, gamma, theta, indep):
+    """kappa and the regular F21, F24, F25 at one argument of latitude.
 
-
-def _f24(q1, q2, theta, kappa):
-    st = np.sin(theta)
-    return 4.0 * (q2 + st) / kappa**2 + 4.0 * st / kappa
-
-
-def _f25(q1, q2, theta, kappa):
-    st = np.sin(theta)
-    return (4.0 * (1.0 - q1 * q1 + q2 * st) / (q1 * kappa**2)
-            + 4.0 * q2 * st / (q1 * kappa))
-
-
-_MP_LOCK = threading.Lock()  # mpmath's working precision is global state
-
-
-def _components_mp(ch, theta, theta0, indep):
-    """Row components via arbitrary precision: the substituted q1 makes
-    the 1/q1 intermediates huge, and only exact cancellation recovers
-    full double accuracy for the O(1) results."""
-    import mpmath as mp
-
-    with _MP_LOCK, mp.workdps(40):
-        q1, q2 = mp.mpf(ch.q1), mp.mpf(ch.q2)
-        eta = mp.sqrt(1 - q1 * q1 - q2 * q2)
-        gamma = q1 * q1 + q2 * q2 - 1
-
-        def kap(th):
-            return 1 + q1 * mp.cos(th) + q2 * mp.sin(th)
-
-        def f21(th):
-            k = mp.nint(th / (2 * mp.pi))
-            tm = th - 2 * mp.pi * k
-            at = mp.atan((q2 + (1 - q1) * mp.tan(tm / 2)) / eta) + mp.pi * k
-            e2 = q1 * q1 + q2 * q2
-            rational = 3 * (q2 + e2 * mp.sin(th)) / (q1 * (e2 - 1) * kap(th))
-            return 6 / eta**3 * (at - th / 2) + rational
-
-        def f24(th):
-            return (4 * (q2 + mp.sin(th)) / kap(th) ** 2
-                    + 4 * mp.sin(th) / kap(th))
-
-        def f25(th):
-            return (4 * (1 - q1 * q1 + q2 * mp.sin(th)) / (q1 * kap(th) ** 2)
-                    + 4 * q2 * mp.sin(th) / (q1 * kap(th)))
-
-        th, th0 = mp.mpf(float(theta)), mp.mpf(float(theta0))
-        # carry the sub-double part of theta for stencil evaluations
-        th += mp.mpf(float(np.longdouble(theta) - np.longdouble(float(theta))))
-        kappa, kappa0 = kap(th), kap(th0)
-        p22 = kappa**2 / kappa0**2
-        p24 = kappa**2 / (4 * gamma) * (f24(th0) - f24(th))
-        p25 = kappa**2 / (4 * gamma) * (f25(th0) - f25(th))
-        if indep == "time":
-            p21 = mp.mpf(0)
-        else:
-            p21 = kappa**2 / (2 * mp.mpf(ch.a)) * (f21(th0) - f21(th))
-        return (_LD(mp.nstr(p21, 25)), _LD(mp.nstr(p22, 25)),
-                _LD(mp.nstr(p24, 25)), _LD(mp.nstr(p25, 25)))
+    F21 is returned as zero for the time-domain reduction, whose P21
+    vanishes identically.
+    """
+    st, ct = np.sin(theta), np.cos(theta)
+    kappa = 1.0 + q1 * ct + q2 * st
+    f24 = 4.0 * (q2 + st) / kappa**2 + 4.0 * st / kappa
+    f25 = 4.0 * (-q1 * (1.0 + ct * ct) - ct * (2.0 + q2 * st)) / kappa**2
+    if indep == "time":
+        return kappa, _LD(0.0), f24, f25
+    f21 = (6.0 / eta**3 * (_atan_unwrapped(q1, q2, eta, theta) - 0.5 * theta)
+           + 3.0 * (q1 * st - q2 * ct) / (gamma * kappa))
+    return kappa, f21, f24, f25
 
 
 def lf_qns_components(chief, theta, indep="theta"):
     """The four nonzero delta-theta-row components (P21, P22, P24, P25).
 
     P21 is identically zero when the reduction is taken with time as the
-    independent variable. Near q1 = 0 the printed P21/P25 forms are
-    evaluated with q1 replaced by a sign-preserving 1e-8 substitute (the
-    singularity is removable, so the bias is of the substitute's size)
-    and with enough working precision that the substitute's 1/q1
-    intermediates cancel exactly.
+    independent variable. The printed P21/P25 forms carry 1/q1 terms, but
+    those are additive constants that cancel in the F(theta0) - F(theta)
+    differences; the regular remainders used here are exact for every q1,
+    q1 = 0 included.
     """
-    ch = _regularized_q1_chief(chief)
-    if ch is not chief:
-        return _components_mp(ch, theta, chief.theta0, indep)
-    q1, q2 = _LD(ch.q1), _LD(ch.q2)
-    eta = np.sqrt(1.0 - q1 * q1 - q2 * q2)
-    th = _LD(theta)
-    th0 = _LD(chief.theta0)
-    kappa = 1.0 + q1 * np.cos(th) + q2 * np.sin(th)
-    kappa0 = 1.0 + q1 * np.cos(th0) + q2 * np.sin(th0)
+    q1, q2 = _LD(chief.q1), _LD(chief.q2)
     gamma = q1 * q1 + q2 * q2 - 1.0
+    eta = np.sqrt(-gamma)
+    kappa, f21, f24, f25 = _row_terms(q1, q2, eta, gamma, _LD(theta), indep)
+    kappa0, f21_0, f24_0, f25_0 = _row_terms(q1, q2, eta, gamma,
+                                             _LD(chief.theta0), indep)
+    p21 = kappa**2 / (2.0 * _LD(chief.a)) * (f21_0 - f21)
     p22 = kappa**2 / kappa0**2
-    p24 = kappa**2 / (4.0 * gamma) * (_f24(q1, q2, th0, kappa0)
-                                      - _f24(q1, q2, th, kappa))
-    p25 = kappa**2 / (4.0 * gamma) * (_f25(q1, q2, th0, kappa0)
-                                      - _f25(q1, q2, th, kappa))
-    if indep == "time":
-        p21 = _LD(0.0)
-    else:
-        p21 = kappa**2 / (2.0 * _LD(ch.a)) * (_f21(q1, q2, eta, th0, kappa0)
-                                              - _f21(q1, q2, eta, th, kappa))
+    p24 = kappa**2 / (4.0 * gamma) * (f24_0 - f24)
+    p25 = kappa**2 / (4.0 * gamma) * (f25_0 - f25)
     return p21, p22, p24, p25
 
 
@@ -251,9 +176,10 @@ def lf_qns(chief, theta, indep="theta", dtype=float):
     """Periodic reduction matrix for the element-difference dynamics.
 
     Identity except for the delta-theta row; equals identity at theta0.
+    The row is regular for every closed chief, q1 = 0 included.
     dtype=np.longdouble keeps the extended-precision intermediates, which
-    the finite-difference residual diagnostics need on very eccentric or
-    q1-regularized chiefs.
+    the finite-difference residual diagnostics need on very eccentric
+    chiefs.
     """
     p21, p22, p24, p25 = lf_qns_components(chief, theta, indep)
     p = np.eye(6, dtype=dtype)
@@ -270,7 +196,6 @@ def qns_lf_transform(chief, indep="theta", dtype=float):
         theta0=chief.theta0,
         domain="qns",
         indep=indep,
-        regularized=is_q1_singular(chief),
     )
 
 
@@ -352,7 +277,6 @@ def map_lf(g_fn, p_src, g0):
         theta0=p_src.theta0,
         domain=target,
         indep=p_src.indep,
-        regularized=p_src.regularized,
     )
 
 

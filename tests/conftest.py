@@ -8,8 +8,9 @@ from relmodes import make_chief
 
 @pytest.fixture
 def molniya():
-    """The highly eccentric reference orbit used throughout; its epoch has
-    q1 = 0 (argp = 270 deg), so it exercises the regularized branch."""
+    """The highly eccentric reference orbit used throughout; it has
+    q1 = 0 (argp = 270 deg), where the printed P21/P25 forms are singular
+    but the regular forms the library evaluates are not."""
     return make_chief(26600.0, 0.74, math.radians(63.4), 0.0,
                       math.radians(270.0), math.radians(90.0))
 

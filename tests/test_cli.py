@@ -68,7 +68,7 @@ class TestModesCommand:
         meta = json.load(open(os.path.join(out, "modes_metadata.json")))
         assert meta["eigenvalues"] == [0.0] * 6
         assert meta["regularized"] is False  # epoch has |A| = 0.74
-        assert any("q1" in w for w in meta["warnings"])
+        assert meta["warnings"] == []  # q1 = 0 needs no special path
         # out-of-plane modes carry no in-plane motion
         for k in (2, 4):
             _, rows = read_csv_rows(os.path.join(out, f"mode_{k}.csv"))
@@ -258,6 +258,30 @@ class TestValidateCommand:
         report = json.load(open(os.path.join(out, "validate_report.json")))
         suite = report["suites"]["circular_limit_axis_ratio"]
         assert suite["passed"] and abs(suite["axis_ratio"] - 2.0) < 0.02
+
+    @pytest.mark.parametrize("e", [0.002, 0.005])
+    @pytest.mark.parametrize("f0_deg", [40.0, 120.0])
+    def test_slightly_eccentric_cw_limit(self, tmp_path, e, f0_deg):
+        # the bounded state must follow the eccentric chief's own c6 = 0
+        orbit = {"a_km": 7000.0, "e": e, "i_deg": 97.8, "raan_deg": 30.0,
+                 "argp_deg": 215.0, "f0_deg": f0_deg}
+        cfg = write_config(tmp_path, {"orbit": orbit})
+        out = str(tmp_path / "out")
+        assert main(["validate", "--config", cfg, "--out", out]) == 0
+        report = json.load(open(os.path.join(out, "validate_report.json")))
+        assert report["suites"]["circular_limit_axis_ratio"]["passed"]
+
+    @pytest.mark.parametrize("q1", [1e-5, 1e-6, 1e-7])
+    def test_near_zero_q1(self, tmp_path, capsys, q1):
+        orbit = dict(MOLNIYA_ORBIT,
+                     argp_deg=270.0 + math.degrees(math.asin(q1 / 0.74)))
+        assert chief_from_config(orbit).q1 == pytest.approx(q1, rel=1e-6)
+        cfg = write_config(tmp_path, {"orbit": orbit})
+        out = str(tmp_path / "out")
+        assert main(["validate", "--config", cfg, "--out", out]) == 0
+        assert "validate: 8/8 suites passed" in capsys.readouterr().out
+        report = json.load(open(os.path.join(out, "validate_report.json")))
+        assert report["suites"]["defining_ode_residual"]["residual"] < 1e-7
 
 
 def test_unknown_rep_rejected(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from relmodes import (SingularConfigError, cw_modal_decomp, cw_planar_eigvecs,
                       cw_planar_plant, cw_stm_planar, delta_theta_solution,
                       eigvecs_closed, eval_at_theta, is_epoch_singular,
-                      is_q1_singular, lf_defining_residual, lf_qns,
+                      lf_defining_residual, lf_qns,
                       lf_transform, lti_cartesian_closed, lti_closed, lti_qns,
                       lti_spherical_closed, make_chief, map_lti,
                       modal_constants, propagate_linear, qns_lf_transform,
@@ -92,16 +92,15 @@ class TestQnsTransform:
                 expect = p22 * r21 * (chief.n * dt - (th - chief.theta0))
                 assert p21 == pytest.approx(expect, rel=1e-9, abs=1e-12)
 
-    def test_regularized_branch(self, molniya):
-        assert is_q1_singular(molniya)
+    def test_q1_zero_row(self, molniya):
+        assert abs(molniya.q1) < 1e-15
         p = qns_lf_transform(molniya)
-        assert p.regularized
         r = lti_qns(molniya).R
         ths = molniya.theta0 + np.linspace(0.05, TWO_PI - 0.05, 25)
         resid = lf_defining_residual(
             p, lambda th: qns_plant_theta(molniya, th), r, ths)
-        assert resid < 1e-5
-        # the regularized row stays continuous through the branch angle
+        assert resid < 1e-7
+        # the row stays continuous through the branch angle
         dense = molniya.theta0 + np.linspace(math.pi - 0.02, math.pi + 0.02, 400)
         p21s = np.array([lf_qns(molniya, th)[1, 0] for th in dense])
         assert np.max(np.abs(np.diff(p21s))) < 1e-4
