@@ -35,7 +35,7 @@ def main():
     xdot0_list = np.linspace(-4e-5, 4e-5, args.members)
     members = sweep_bounded_family(chief, 0.08, 0.09, xdot0_list)
     grid = np.linspace(chief.theta0, chief.theta0 + 2.0 * math.pi, 721)
-    times = [theta_to_time(chief, th) for th in grid]
+    times = theta_to_time(chief, grid)
     summary = []
     for k, member in enumerate(members):
         states = reconstruct(chief, member.constants, grid, "cartesian")

@@ -37,7 +37,7 @@ def main():
                                    chief.theta0 + 2.0 * math.pi * periods,
                                    int(args.samples * periods))
                 states = mode_trajectory(chief, k, grid, rep, normalize=True)
-                times = [theta_to_time(chief, th) for th in grid]
+                times = theta_to_time(chief, grid)
                 name = f"e{e:0.2f}_{rep}_mode{k}.csv"
                 write_trajectory_csv(os.path.join(args.out, name), rep,
                                      grid, times, states, extra_col=k)

@@ -34,11 +34,11 @@ def main():
           f"{np.max(np.abs(res.eigenstructure.eigenvalues)) * chief.period:.3e}")
     chains = sorted(len(c) for c in res.eigenstructure.chains)
     print(f"jordan chain lengths           {chains}")
-    p_ana = lf_transform(chief, "cartesian", indep="time")
     worst, pscale = 0.0, 0.0
     for j in range(0, len(res.t_samples), 64):
         t = res.t_samples[j]
-        pa = p_ana(time_to_theta(chief, t))
+        pa = lf_transform(chief, "cartesian", time_to_theta(chief, t),
+                          indep="time")
         worst = max(worst, np.max(np.abs(res.lf_samples[j] - pa)))
         pscale = max(pscale, np.max(np.abs(pa)))
     print(f"transform samples vs analytic  {worst / pscale:.3e}")

@@ -10,17 +10,17 @@ from .errors import (InclinationSingularityError, IntegrationError,
                      KeplerConvergenceError, MatrixLogError,
                      NearSingularMatrixError, OrbitDefinitionError,
                      PeriodicityError, RelMotionError, SingularConfigError)
-from .floquet import (CwModalDecomp, LfTransform, LtiSystem, ModalConstants,
+from .floquet import (CwModalDecomp, LtiSystem, ModalConstants,
                       cw_modal_decomp, cw_planar_eigvecs, delta_theta_solution,
                       eigvecs_closed, is_epoch_singular, lf_defining_residual,
                       lf_qns, lf_transform, lti_cartesian_closed, lti_closed,
-                      lti_qns, lti_spherical_closed, map_lf, map_lti,
-                      modal_constants, qns_lf_transform, qns_r21)
+                      lti_qns, lti_spherical_closed, map_lti,
+                      modal_constants, qns_r21)
 from .geometry import (GeoMap, SphState, cart_sph_linear, cart_sph_linear_at,
                        cart_to_sph, g_cartesian, g_inverse, g_spherical,
                        geo_map, sph_to_cart)
-from .modal import (FamilyMember, ModeSampler, StationaryPlane,
-                    build_mode_samplers, constants_dynamics, extract_constants,
+from .modal import (FamilyMember, StationaryPlane,
+                    constants_dynamics, extract_constants,
                     integrate_constants, mode_trajectory, modal_state_matrix,
                     no_drift_maneuver_line, psi_time_factory, rebase_chief,
                     reconstruct, remap_epoch, stationary_plane,

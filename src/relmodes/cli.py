@@ -18,14 +18,14 @@ import numpy as np
 
 from . import io as rio
 from .errors import RelMotionError
-from .floquet import (is_epoch_singular, lf_defining_residual, lti_closed,
-                      lti_qns, map_lti, modal_constants, qns_lf_transform,
-                      qns_r21)
+from .floquet import (ModalConstants, is_epoch_singular,
+                      lf_defining_residual, lf_qns, lti_closed, lti_qns,
+                      map_lti, modal_constants, qns_r21)
 from .geometry import geo_map
-from .modal import (extract_constants, mode_trajectory, reconstruct,
-                    stationary_plane, sweep_bounded_family)
+from .modal import (extract_constants, modal_state_matrix, mode_trajectory,
+                    reconstruct, stationary_plane, sweep_bounded_family)
 from .numeric import liouville_determinant_check, numeric_modal_decomp
-from .orbit import eval_at_theta, shorthand_abc, theta_to_time
+from .orbit import eval_at_theta, shorthand_abc, theta_to_time, time_to_theta
 from .plants import cartesian_plant_keplerian, cw_plant_full, qns_plant_theta
 
 log = logging.getLogger("relmodes")
@@ -34,10 +34,6 @@ log = logging.getLogger("relmodes")
 def _theta_grid(chief, periods, samples_per_period=240):
     n = max(int(periods * samples_per_period), 2) + 1
     return np.linspace(chief.theta0, chief.theta0 + 2.0 * math.pi * periods, n)
-
-
-def _times(chief, thetas):
-    return np.array([theta_to_time(chief, th) for th in thetas])
 
 
 def _singularity_warnings(chief):
@@ -64,7 +60,7 @@ def cmd_modes(args):
         states = mode_trajectory(chief, k, grid, rep, normalize=True)
         rio.write_trajectory_csv(
             os.path.join(args.out, f"mode_{k}.csv"), rep, grid,
-            _times(chief, grid), states, extra_col=k)
+            theta_to_time(chief, grid), states, extra_col=k)
     meta = {
         "representation": rep,
         "eigenvalues": rio.matrix_to_json(sys_.eigenvalues),
@@ -111,19 +107,18 @@ def cmd_decompose(args):
     else:
         constants = modal_constants(chief, state0, rep)
     grid = _theta_grid(chief, args.periods)
-    times = _times(chief, grid)
-    total = reconstruct(chief, constants, grid, rep)
+    times = theta_to_time(chief, grid)
+    psi = modal_state_matrix(chief, rep, grid)
+    total = psi @ constants.c
     rio.write_trajectory_csv(os.path.join(args.out, "trajectory.csv"),
                              rep, grid, times, total, extra_col="sum")
-    acc = np.zeros_like(total)
+    # contrib[:, :, k] is the contribution of mode k+1
+    contrib = psi * constants.c
     for k in range(1, 7):
-        shape = mode_trajectory(chief, k, grid, rep, normalize=False)
-        contrib = constants.c[k - 1] * shape
-        acc += contrib
         rio.write_trajectory_csv(
             os.path.join(args.out, f"contribution_mode_{k}.csv"), rep,
-            grid, times, contrib, extra_col=k)
-    sum_err = float(np.max(np.abs(acc - total)))
+            grid, times, contrib[:, :, k - 1], extra_col=k)
+    sum_err = float(np.max(np.abs(contrib.sum(axis=-1) - total)))
     payload = {
         "constants": constants.c.tolist(),
         "representation": rep,
@@ -145,13 +140,12 @@ def cmd_reconstruct(args):
     rep = rio.REP_ALIASES[args.rep]
     os.makedirs(args.out, exist_ok=True)
     _singularity_warnings(chief)
-    from .floquet import ModalConstants
     constants = ModalConstants(c=np.asarray(cfg["constants"], dtype=float),
                                domain=rep, theta0=chief.theta0)
     grid = _theta_grid(chief, args.periods)
     states = reconstruct(chief, constants, grid, rep)
     rio.write_trajectory_csv(os.path.join(args.out, "trajectory.csv"),
-                             rep, grid, _times(chief, grid), states,
+                             rep, grid, theta_to_time(chief, grid), states,
                              extra_col="sum")
     return 0
 
@@ -166,10 +160,11 @@ def cmd_sweep(args):
     xdot0_list = [float(v) for v in cfg["xdot0_list_kmps"]]
     members = sweep_bounded_family(chief, x0, y0, xdot0_list)
     grid = _theta_grid(chief, args.periods)
-    times = _times(chief, grid)
+    times = theta_to_time(chief, grid)
+    psi = modal_state_matrix(chief, "cartesian", grid)
     summary = []
     for k, mem in enumerate(members):
-        states = reconstruct(chief, mem.constants, grid, "cartesian")
+        states = psi @ mem.constants.c
         rio.write_trajectory_csv(os.path.join(args.out, f"family_{k}.csv"),
                                  "cartesian", grid, times, states,
                                  extra_col=k)
@@ -207,7 +202,7 @@ def cmd_floquet_numeric(args):
                       1j * chief.n, -1j * chief.n]))}
     elif args.plant == "cartesian-keplerian":
         plant = lambda t: cartesian_plant_keplerian(
-            chief, _theta_of_time(chief, t))
+            chief, time_to_theta(chief, t))
         t0, period = 0.0, chief.period
         lam_ana = lti_closed(chief, "cartesian", indep="time").R
         analytic = {"Lambda_analytic": rio.matrix_to_json(lam_ana)}
@@ -249,11 +244,6 @@ def cmd_floquet_numeric(args):
     return 0
 
 
-def _theta_of_time(chief, t):
-    from .orbit import time_to_theta
-    return time_to_theta(chief, t)
-
-
 def _suite_quadrature(chief):
     from scipy.integrate import quad
     val, _ = quad(lambda th: eval_at_theta(chief, th).r ** 2 / chief.h,
@@ -275,10 +265,10 @@ def _suite_shorthands(chief):
 
 
 def _suite_defining_ode(chief):
-    p = qns_lf_transform(chief, dtype=np.longdouble)
     r_mat = lti_qns(chief).R
     thetas = chief.theta0 + np.linspace(0.1, 2.0 * math.pi - 0.1, 20)
-    resid = lf_defining_residual(p, lambda th: qns_plant_theta(chief, float(th)),
+    resid = lf_defining_residual(lambda th: lf_qns(chief, th),
+                                 lambda th: qns_plant_theta(chief, float(th)),
                                  r_mat, thetas)
     tol = 1e-7
     return {"residual": resid, "tolerance": tol, "passed": bool(resid < tol)}

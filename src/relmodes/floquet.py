@@ -26,6 +26,7 @@ from .geometry import g_inverse, geo_map
 from .orbit import eval_at_theta, shorthand_abc, theta_to_time
 
 A_EPS = 1e-8    # e*sin(f0) regularization for eigenvector inversion
+_CSTEP = 1e-30  # complex-step size of the residual diagnostics
 
 
 def is_epoch_singular(chief):
@@ -39,25 +40,6 @@ def _regularized_shorthands(chief):
         return sh, False
     aq = A_EPS if sh.Aq == 0.0 else math.copysign(A_EPS, sh.Aq)
     return dataclasses.replace(sh, Aq=aq), True
-
-
-@dataclass(frozen=True)
-class LfTransform:
-    """Orbit-periodic transformation with identity at the epoch.
-
-    Calling the object evaluates the 6x6 matrix at an (unwrapped)
-    argument of latitude. `indep` records whether the transform reduces
-    the theta-domain or the time-domain dynamics; the evaluation argument
-    is theta either way.
-    """
-
-    eval_fn: object
-    theta0: float
-    domain: str       # "qns" | "cartesian" | "spherical"
-    indep: str        # "theta" | "time"
-
-    def __call__(self, theta):
-        return self.eval_fn(theta)
 
 
 @dataclass(frozen=True)
@@ -77,14 +59,6 @@ class LtiSystem:
     domain: str
     indep: str        # "theta" | "time"
     regularized: bool = False
-
-    @property
-    def drift_rate(self):
-        """Coefficient s in R v6 = s v5 (1 in theta domain, n in time)."""
-        num = self.R @ self.V[:, 5]
-        den = self.V[:, 4]
-        j = int(np.argmax(np.abs(den)))
-        return num[j] / den[j]
 
 
 @dataclass(frozen=True)
@@ -110,14 +84,10 @@ class ModalConstants:
 # The F-functions below are the regular parts of the printed forms: the
 # 1/q1 terms of F21 and F25 (3 q2/(q1 (e^2-1)) and 4/q1) are additive
 # constants, so they cancel in every F(theta0) - F(theta) difference and
-# are dropped, which leaves no singularity at q1 = 0. The F-function
-# scales still grow like 1/kappa^2 on eccentric orbits, so float64
-# evaluation leaves ~1e-13 absolute noise in their differences, which a
-# 1e-6-step derivative amplifies past the accuracy the transform can
-# otherwise deliver. Extended precision for the intermediates removes
-# that floor; results are returned as float64.
-_LD = np.longdouble
-_TWO_PI_LD = 2.0 * _LD(np.pi)
+# are dropped, which leaves no singularity at q1 = 0. Every function of
+# theta below is analytic, so its complex-step derivative takes no
+# difference and needs no precision beyond float64.
+_TWO_PI = 2.0 * math.pi
 
 
 def _atan_unwrapped(q1, q2, eta, theta):
@@ -125,16 +95,17 @@ def _atan_unwrapped(q1, q2, eta, theta):
 
     The principal value jumps by pi at theta = pi + 2k*pi; adding k*pi per
     revolution makes the result continuous and the combination
-    (atan - theta/2) 2*pi-periodic.
+    (atan - theta/2) 2*pi-periodic. The revolution count comes from the
+    real part, so a complex-step theta stays on its branch.
     """
-    k = np.rint(theta / _TWO_PI_LD)
-    tm = theta - _TWO_PI_LD * k
+    k = np.rint(np.real(theta) / _TWO_PI)
+    tm = theta - _TWO_PI * k
     u = (q2 + (1.0 - q1) * np.tan(0.5 * tm)) / eta
-    return np.arctan(u) + _LD(np.pi) * k
+    return np.arctan(u) + math.pi * k
 
 
 def _row_terms(q1, q2, eta, gamma, theta, indep):
-    """kappa and the regular F21, F24, F25 at one argument of latitude.
+    """kappa and the regular F21, F24, F25 at the argument(s) of latitude.
 
     F21 is returned as zero for the time-domain reduction, whose P21
     vanishes identically.
@@ -144,7 +115,7 @@ def _row_terms(q1, q2, eta, gamma, theta, indep):
     f24 = 4.0 * (q2 + st) / kappa**2 + 4.0 * st / kappa
     f25 = 4.0 * (-q1 * (1.0 + ct * ct) - ct * (2.0 + q2 * st)) / kappa**2
     if indep == "time":
-        return kappa, _LD(0.0), f24, f25
+        return kappa, 0.0, f24, f25
     f21 = (6.0 / eta**3 * (_atan_unwrapped(q1, q2, eta, theta) - 0.5 * theta)
            + 3.0 * (q1 * st - q2 * ct) / (gamma * kappa))
     return kappa, f21, f24, f25
@@ -153,50 +124,42 @@ def _row_terms(q1, q2, eta, gamma, theta, indep):
 def lf_qns_components(chief, theta, indep="theta"):
     """The four nonzero delta-theta-row components (P21, P22, P24, P25).
 
-    P21 is identically zero when the reduction is taken with time as the
+    theta may be a scalar or an array, real or complex. P21 is
+    identically zero when the reduction is taken with time as the
     independent variable. The printed P21/P25 forms carry 1/q1 terms, but
     those are additive constants that cancel in the F(theta0) - F(theta)
     differences; the regular remainders used here are exact for every q1,
     q1 = 0 included.
     """
-    q1, q2 = _LD(chief.q1), _LD(chief.q2)
+    q1, q2 = chief.q1, chief.q2
     gamma = q1 * q1 + q2 * q2 - 1.0
-    eta = np.sqrt(-gamma)
-    kappa, f21, f24, f25 = _row_terms(q1, q2, eta, gamma, _LD(theta), indep)
+    eta = math.sqrt(-gamma)
+    kappa, f21, f24, f25 = _row_terms(q1, q2, eta, gamma, theta, indep)
     kappa0, f21_0, f24_0, f25_0 = _row_terms(q1, q2, eta, gamma,
-                                             _LD(chief.theta0), indep)
-    p21 = kappa**2 / (2.0 * _LD(chief.a)) * (f21_0 - f21)
+                                             chief.theta0, indep)
+    p21 = kappa**2 / (2.0 * chief.a) * (f21_0 - f21)
     p22 = kappa**2 / kappa0**2
     p24 = kappa**2 / (4.0 * gamma) * (f24_0 - f24)
     p25 = kappa**2 / (4.0 * gamma) * (f25_0 - f25)
     return p21, p22, p24, p25
 
 
-def lf_qns(chief, theta, indep="theta", dtype=float):
+def lf_qns(chief, theta, indep="theta"):
     """Periodic reduction matrix for the element-difference dynamics.
 
     Identity except for the delta-theta row; equals identity at theta0.
-    The row is regular for every closed chief, q1 = 0 included.
-    dtype=np.longdouble keeps the extended-precision intermediates, which
-    the finite-difference residual diagnostics need on very eccentric
-    chiefs.
+    The row is regular for every closed chief, q1 = 0 included. Returns
+    shape theta.shape + (6, 6); a complex theta gives a complex matrix.
     """
+    theta = np.asarray(theta)
     p21, p22, p24, p25 = lf_qns_components(chief, theta, indep)
-    p = np.eye(6, dtype=dtype)
-    p[1, 0] = p21
-    p[1, 1] = p22
-    p[1, 3] = p24
-    p[1, 4] = p25
+    p = np.zeros(theta.shape + (6, 6), dtype=np.result_type(theta, float))
+    p[..., range(6), range(6)] = 1.0
+    p[..., 1, 0] = p21
+    p[..., 1, 1] = p22
+    p[..., 1, 3] = p24
+    p[..., 1, 4] = p25
     return p
-
-
-def qns_lf_transform(chief, indep="theta", dtype=float):
-    return LfTransform(
-        eval_fn=lambda theta: lf_qns(chief, theta, indep, dtype),
-        theta0=chief.theta0,
-        domain="qns",
-        indep=indep,
-    )
 
 
 def qns_r21(chief):
@@ -262,36 +225,19 @@ def map_lti(g0, r_src):
     return g @ r @ g_inverse(g)
 
 
-def map_lf(g_fn, p_src, g0):
-    """Reduction transform in new coordinates from the one in element
-    differences: P_x(theta) = G(theta) P(theta) G(theta0)^-1."""
-    g0_inv = g_inverse(_entries(g0))
-    target = getattr(g0, "target", "cartesian")
+def lf_transform(chief, domain, theta, indep="theta"):
+    """Periodic reduction transform in the requested coordinates at theta
+    (scalar or array, real or complex).
 
-    def eval_fn(theta):
-        gp = np.asarray(getattr(g_fn(theta), "entries", g_fn(theta)))
-        return gp @ p_src(theta) @ g0_inv.astype(gp.dtype)
-
-    return LfTransform(
-        eval_fn=eval_fn,
-        theta0=p_src.theta0,
-        domain=target,
-        indep=p_src.indep,
-    )
-
-
-def lf_transform(chief, domain, indep="theta", dtype=float):
-    """Periodic reduction transform in the requested coordinates.
-
-    dtype=np.longdouble keeps the composed products in extended
-    precision; finite-difference diagnostics need that headroom, the
-    modal machinery does not.
+    In local coordinates this is P_x(theta) = G(theta) P(theta)
+    G(theta0)^-1, with P the element-difference transform. Returns shape
+    theta.shape + (6, 6).
     """
-    p_qns = qns_lf_transform(chief, indep, dtype)
+    p = lf_qns(chief, theta, indep)
     if domain == "qns":
-        return p_qns
-    g0 = geo_map(chief, chief.theta0, domain)
-    return map_lf(lambda th: geo_map(chief, th, domain, dtype), p_qns, g0)
+        return p
+    g0_inv = g_inverse(geo_map(chief, chief.theta0, domain))
+    return geo_map(chief, theta, domain).entries @ p @ g0_inv
 
 
 # ---------------------------------------------------------------------------
@@ -594,26 +540,18 @@ def cw_modal_decomp(n, planar_state0):
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def lf_defining_residual(p_fn, plant_theta_fn, r_mat, theta_samples,
-                         step=1e-6):
+def lf_defining_residual(p_fn, plant_theta_fn, r_mat, theta_samples):
     """Max-norm residual of P^-1 (A~ P - P') - R over the sampled thetas.
     A~ must be the theta-domain plant.
 
-    P' uses the five-point central-difference stencil at the given step;
-    the third-derivative spikes of the transform near periapsis of very
-    eccentric orbits would otherwise dominate the measured residual.
+    p_fn must accept an array of complex thetas. P' is the complex-step
+    derivative Im P(theta + ih)/h: it takes no difference, so it is exact
+    to rounding in float64 for any h small enough that the O(h^2) term
+    vanishes.
     """
-    worst = 0.0
-    step = _LD(step)
-    for th in np.atleast_1d(theta_samples):
-        th = _LD(th)  # float64 abscissae would perturb P by P' * eps * th
-        p = p_fn(th)
-        dp = (-p_fn(th + 2 * step) + 8.0 * p_fn(th + step)
-              - 8.0 * p_fn(th - step) + p_fn(th - 2 * step)) / (12.0 * step)
-        a = _entries(plant_theta_fn(th)).astype(p.dtype)
-        # form the bracket in the evaluator's precision, downcast only
-        # for the (stable) final solve
-        bracket = (a @ p - dp - p @ r_mat.astype(p.dtype)).astype(float)
-        res = np.linalg.solve(p.astype(float), bracket)
-        worst = max(worst, float(np.max(np.abs(res))))
-    return worst
+    thetas = np.atleast_1d(np.asarray(theta_samples, dtype=float))
+    pc = p_fn(thetas + _CSTEP * 1j)
+    p, dp = pc.real, pc.imag / _CSTEP
+    a = np.array([_entries(plant_theta_fn(th)) for th in thetas])
+    res = np.linalg.solve(p, a @ p - dp - p @ r_mat)
+    return float(np.max(np.abs(res)))

@@ -20,10 +20,10 @@ _COND_MAX = 1e12
 
 @dataclass(frozen=True)
 class GeoMap:
-    """Element-difference -> local-state map evaluated at one theta."""
+    """Element-difference -> local-state map evaluated at theta."""
 
-    entries: np.ndarray
-    theta: float
+    entries: np.ndarray   # theta.shape + (6, 6)
+    theta: object         # scalar or array
     target: str  # "cartesian" | "spherical"
 
 
@@ -43,27 +43,41 @@ class SphState:
                          self.drdot, self.theta_r_dot, self.phi_r_dot])
 
 
-def _orbit_scalars(chief, theta, dtype):
-    """r, vr, vt, thetadot and trig values in the requested precision."""
-    q1, q2 = dtype(chief.q1), dtype(chief.q2)
-    th = dtype(theta)
-    ct, s_t = np.cos(th), np.sin(th)
+def _orbit_scalars(chief, theta):
+    """r, vr, vt, thetadot and trig values at theta (array or complex)."""
+    q1, q2 = chief.q1, chief.q2
+    ct, s_t = np.cos(theta), np.sin(theta)
     kappa = 1.0 + q1 * ct + q2 * s_t
-    p = dtype(chief.a) * (1.0 - q1 * q1 - q2 * q2)
-    h = np.sqrt(dtype(chief.mu) * p)
+    p = chief.a * (1.0 - q1 * q1 - q2 * q2)
+    h = math.sqrt(chief.mu * p)
     r = p / kappa
     vr = (h / p) * (q1 * s_t - q2 * ct)
     vt = h / r
     return r, vr, vt, h / r**2, ct, s_t
 
 
-def g_cartesian(chief, theta, dtype=float):
-    """Map from element differences to the LVLH Cartesian state."""
-    r, vr, vt, _, ct, s_t = _orbit_scalars(chief, theta, dtype)
-    a, p, h = dtype(chief.a), dtype(chief.p), dtype(chief.h)
-    q1, q2 = dtype(chief.q1), dtype(chief.q2)
-    ci, si = np.cos(dtype(chief.inc)), np.sin(dtype(chief.inc))
-    g = np.array([
+def _assemble(rows, theta):
+    """Stack a 6x6 nested list of entries, each a scalar or an array over
+    theta, into an array of shape theta.shape + (6, 6)."""
+    out = np.empty(theta.shape + (6, 6), dtype=np.result_type(theta, float))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            out[..., i, j] = entry
+    return out
+
+
+def g_cartesian(chief, theta):
+    """Map from element differences to the LVLH Cartesian state.
+
+    theta may be a scalar or an array, real or complex; the entries have
+    shape theta.shape + (6, 6).
+    """
+    theta = np.asarray(theta)
+    r, vr, vt, _, ct, s_t = _orbit_scalars(chief, theta)
+    a, p, h = chief.a, chief.p, chief.h
+    q1, q2 = chief.q1, chief.q2
+    ci, si = math.cos(chief.inc), math.sin(chief.inc)
+    g = _assemble([
         [r / a, vr / vt * r, 0.0,
          -r / p * (2.0 * a * q1 + r * ct), -r / p * (2.0 * a * q2 + r * s_t), 0.0],
         [0.0, r, 0.0, 0.0, 0.0, r * ci],
@@ -74,21 +88,23 @@ def g_cartesian(chief, theta, dtype=float):
          (3.0 * vt * a * q1 + 2.0 * h * ct) / p,
          (3.0 * vt * a * q2 + 2.0 * h * s_t) / p, vr * ci],
         [0.0, 0.0, vt * ct + vr * s_t, 0.0, 0.0, (vt * s_t - vr * ct) * si],
-    ])
+    ], theta)
     return GeoMap(entries=g, theta=theta, target="cartesian")
 
 
-def g_spherical(chief, theta, dtype=float):
+def g_spherical(chief, theta):
     """Map from element differences to the local spherical state.
 
     Rows 1 and 4 are identical to the Cartesian map; the angular rows
-    carry dimensionless angles and angle rates.
+    carry dimensionless angles and angle rates. theta may be a scalar or
+    an array, real or complex.
     """
-    r, vr, vt, td, ct, s_t = _orbit_scalars(chief, theta, dtype)
-    a, p, h = dtype(chief.a), dtype(chief.p), dtype(chief.h)
-    q1, q2 = dtype(chief.q1), dtype(chief.q2)
-    ci, si = np.cos(dtype(chief.inc)), np.sin(dtype(chief.inc))
-    g = np.array([
+    theta = np.asarray(theta)
+    r, vr, vt, td, ct, s_t = _orbit_scalars(chief, theta)
+    a, p, h = chief.a, chief.p, chief.h
+    q1, q2 = chief.q1, chief.q2
+    ci, si = math.cos(chief.inc), math.sin(chief.inc)
+    g = _assemble([
         [r / a, vr / vt * r, 0.0,
          -r / p * (2.0 * a * q1 + r * ct), -r / p * (2.0 * a * q2 + r * s_t), 0.0],
         [0.0, 1.0, 0.0, 0.0, 0.0, ci],
@@ -99,24 +115,24 @@ def g_spherical(chief, theta, dtype=float):
          td / p * (3.0 * a * q1 + 2.0 * r * ct),
          td / p * (3.0 * a * q2 + 2.0 * r * s_t), 0.0],
         [0.0, 0.0, td * ct, 0.0, 0.0, td * s_t * si],
-    ])
+    ], theta)
     return GeoMap(entries=g, theta=theta, target="spherical")
 
 
-def geo_map(chief, theta, target, dtype=float):
+def geo_map(chief, theta, target):
     if target == "cartesian":
-        return g_cartesian(chief, theta, dtype)
+        return g_cartesian(chief, theta)
     if target == "spherical":
-        return g_spherical(chief, theta, dtype)
+        return g_spherical(chief, theta)
     raise ValueError(f"unknown target {target!r}")
 
 
-def equilibrated_cond(mat):
-    """Condition number after row/column equilibration.
+def _equilibrate(mat):
+    """Row- then column-normalized copy of mat, with the row and column
+    norms that undo it (zero norms are taken as one).
 
-    The raw maps mix km, rad and their rates, so the unscaled condition
-    number mostly measures units; equilibration leaves the geometric
-    conditioning.
+    The raw maps mix km, rad and their rates, so unscaled they mostly
+    measure units; equilibration leaves the geometric conditioning.
     """
     mat = np.asarray(mat, dtype=float)
     r = np.linalg.norm(mat, axis=1)
@@ -124,7 +140,12 @@ def equilibrated_cond(mat):
     scaled = mat / r[:, None]
     c = np.linalg.norm(scaled, axis=0)
     c[c == 0.0] = 1.0
-    return np.linalg.cond(scaled / c[None, :])
+    return scaled / c[None, :], r, c
+
+
+def equilibrated_cond(mat):
+    """Condition number after row/column equilibration."""
+    return np.linalg.cond(_equilibrate(mat)[0])
 
 
 def g_inverse(gmap):
@@ -133,14 +154,9 @@ def g_inverse(gmap):
     Inverts the row/column-equilibrated matrix so the mixed units do not
     degrade the factorization, then undoes the scaling.
     """
-    entries = gmap.entries if isinstance(gmap, GeoMap) else np.asarray(gmap)
+    entries = gmap.entries if isinstance(gmap, GeoMap) else gmap
     entries = np.asarray(entries, dtype=float)
-    r = np.linalg.norm(entries, axis=1)
-    r[r == 0.0] = 1.0
-    scaled = entries / r[:, None]
-    c = np.linalg.norm(scaled, axis=0)
-    c[c == 0.0] = 1.0
-    scaled = scaled / c[None, :]
+    scaled, r, c = _equilibrate(entries)
     cond = np.linalg.cond(scaled)
     if not np.isfinite(cond) or cond > _COND_MAX:
         raise NearSingularMatrixError(

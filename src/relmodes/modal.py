@@ -16,21 +16,10 @@ from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError
 from .floquet import (ModalConstants, balanced_solve, eigvecs_closed,
-                      is_epoch_singular, lf_transform, lti_closed,
+                      is_epoch_singular, lf_qns, lf_transform, lti_closed,
                       modal_constants, qns_r21)
+from .geometry import g_inverse, geo_map
 from .orbit import eval_at_theta, shorthand_abc, time_to_theta
-
-
-@dataclass(frozen=True)
-class ModeSampler:
-    """One fundamental solution; callable over unwrapped theta."""
-
-    mode_index: int        # 1..6
-    eval_fn: object
-    secular: bool
-
-    def __call__(self, theta):
-        return self.eval_fn(theta)
 
 
 @dataclass(frozen=True)
@@ -67,68 +56,39 @@ class FamilyMember:
     constants: ModalConstants
 
 
-def _modal_factors(chief, domain, indep="theta"):
-    p = lf_transform(chief, domain, indep)
-    sys = lti_closed(chief, domain, indep)
-    return p, sys
+def modal_state_matrix(chief, domain, theta):
+    """Fundamental-solution matrix Psi(theta) = P(theta) V (I + (theta -
+    theta0) E_56), shape theta.shape + (6, 6); column k is fundamental
+    solution k+1, so Psi @ c is the state at theta. Built on the
+    theta-domain reduction."""
+    theta = np.asarray(theta, dtype=float)
+    psi = lf_transform(chief, domain, theta) @ lti_closed(chief, domain).V
+    psi[..., 5] += (theta - chief.theta0)[..., None] * psi[..., 4]
+    return psi
 
 
-def modal_state_matrix(chief, domain, theta, p=None, sys=None):
-    """Psi(theta) = P(theta) V (I + (theta-theta0) E_56): maps constants to
-    the state at theta. Built on the theta-domain reduction."""
-    if p is None or sys is None:
-        p, sys = _modal_factors(chief, domain)
-    dtheta = theta - chief.theta0
-    m = sys.V.copy()
-    m[:, 5] += dtheta * sys.V[:, 4]
-    return p(theta) @ m
-
-
-def reconstruct(chief, constants, theta, domain=None, p=None, sys=None):
-    """State at theta from modal constants (theta may be an array)."""
+def reconstruct(chief, constants, theta, domain=None):
+    """State at theta from modal constants; theta may be an array, and the
+    result has shape theta.shape + (6,)."""
     domain = domain or constants.domain
-    if p is None or sys is None:
-        p, sys = _modal_factors(chief, domain)
     c = constants.as_array() if hasattr(constants, "as_array") else np.asarray(constants)
-    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
-    out = np.empty((thetas.size, 6))
-    for j, th in enumerate(thetas):
-        out[j] = modal_state_matrix(chief, domain, th, p, sys) @ c
-    return out[0] if np.isscalar(theta) else out
+    return modal_state_matrix(chief, domain, theta) @ c
 
 
-def extract_constants(chief, state, theta, domain, p=None, sys=None):
+def extract_constants(chief, state, theta, domain):
     """Constants whose modal solution passes through `state` at theta.
 
     At theta = theta0 this reduces to the balanced solve against V; the
     closed-form route is modal_constants.
     """
-    if p is None or sys is None:
-        p, sys = _modal_factors(chief, domain)
+    sys = lti_closed(chief, domain)
     m = sys.V.copy()
     m[:, 5] += (theta - chief.theta0) * sys.V[:, 4]
-    chi = np.linalg.solve(p(theta), np.asarray(state, dtype=float))
+    chi = np.linalg.solve(lf_transform(chief, domain, theta),
+                          np.asarray(state, dtype=float))
     c = balanced_solve(m, chi)
     return ModalConstants(c=c, domain=domain, theta0=chief.theta0,
                           regularized=sys.regularized)
-
-
-def build_mode_samplers(chief, domain):
-    """The six fundamental solutions in the requested coordinates."""
-    p, sys = _modal_factors(chief, domain)
-    samplers = []
-    for i in range(6):
-        if i == 5:
-            def eval_fn(theta, _p=p, _v=sys.V):
-                return _p(theta) @ (_v[:, 4] * (theta - chief.theta0) + _v[:, 5])
-            secular = True
-        else:
-            def eval_fn(theta, _p=p, _vi=sys.V[:, i]):
-                return _p(theta) @ _vi
-            secular = False
-        samplers.append(ModeSampler(mode_index=i + 1, eval_fn=eval_fn,
-                                    secular=secular))
-    return samplers
 
 
 def mode_trajectory(chief, mode_index, theta_grid, domain, normalize=False):
@@ -139,13 +99,9 @@ def mode_trajectory(chief, mode_index, theta_grid, domain, normalize=False):
     """
     if not 1 <= mode_index <= 6:
         raise ValueError("mode index must be 1..6")
-    sampler = build_mode_samplers(chief, domain)[mode_index - 1]
-    theta_grid = np.asarray(theta_grid, dtype=float)
-    out = np.empty((theta_grid.size, 6))
-    for j, th in enumerate(theta_grid):
-        out[j] = sampler(th)
+    out = modal_state_matrix(chief, domain, theta_grid)[..., mode_index - 1]
     if normalize:
-        scale = np.max(np.linalg.norm(out[:, :3], axis=1))
+        scale = np.max(np.linalg.norm(out[..., :3], axis=-1))
         if scale > 0.0:
             out = out / scale
     return out
@@ -165,10 +121,10 @@ def remap_epoch(chief, constants, theta0_new):
     constants reproduces the original trajectory.
     """
     domain = constants.domain
-    p, sys = _modal_factors(chief, domain)
+    sys = lti_closed(chief, domain)
     dtheta = theta0_new - chief.theta0
     # Phi(theta0', theta0) = P(theta0') (I + R dtheta)
-    phi = p(theta0_new) @ (np.eye(6) + sys.R * dtheta)
+    phi = lf_transform(chief, domain, theta0_new) @ (np.eye(6) + sys.R * dtheta)
     chief_new = rebase_chief(chief, theta0_new)
     v_new = eigvecs_closed(chief_new, domain, regularize=True)
     c_new = balanced_solve(v_new, phi @ sys.V @ constants.as_array())
@@ -243,15 +199,22 @@ def psi_time_factory(chief, domain):
     Psi(t) c is the modal state at time t since epoch; built on the
     time-domain reduction so the secular term advances with mean motion.
     """
-    p = lf_transform(chief, domain, indep="time")
     sys = lti_closed(chief, domain, indep="time")
     n = chief.n
+    # psi runs inside ODE right-hand sides, so G(theta0)^-1 is taken once
+    # here instead of in an lf_transform call per step
+    v = sys.V
+    if domain != "qns":
+        v = g_inverse(geo_map(chief, chief.theta0, domain)) @ v
 
     def psi(t):
         theta = time_to_theta(chief, t)
-        m = sys.V.copy()
-        m[:, 5] += n * t * sys.V[:, 4]
-        return p(theta) @ m
+        m = v.copy()
+        m[:, 5] += n * t * v[:, 4]
+        out = lf_qns(chief, theta, indep="time") @ m
+        if domain != "qns":
+            out = geo_map(chief, theta, domain).entries @ out
+        return out
 
     return psi
 

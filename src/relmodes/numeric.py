@@ -75,16 +75,6 @@ class NumericFloquetResult:
                     e_mat[ci, chain[j]] = growth * fact
         return e_mat
 
-    def mode_shape(self, mode_index, t):
-        """Real part of one fundamental solution P(t) v_i exp(l_i (t-t0))
-        (generalized columns carry their polynomial-in-t chain terms)."""
-        eig = self.eigenstructure
-        t0 = self.t_samples[0]
-        coeff = np.zeros(eig.V.shape[1])
-        coeff[mode_index] = 1.0
-        chi = eig.V @ (self.chain_propagator(t - t0) @ coeff)
-        return np.real(self.lf_at(t) @ chi)
-
     def reconstruct(self, state0, t):
         """Modal solution through state0 at t0, evaluated at time t.
 

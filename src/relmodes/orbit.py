@@ -14,12 +14,15 @@ All angles are radians, lengths km, gravitational parameter km^3/s^2.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import KeplerConvergenceError, OrbitDefinitionError
 
 MU_EARTH = 398600.4418  # km^3/s^2
 
 _KEPLER_TOL = 1e-13  # rad
 _KEPLER_MAX_ITER = 50
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -192,17 +195,27 @@ def shorthand_abc(chief):
 
 
 def _true_to_mean_unwrapped(e, f):
-    """Mean anomaly as a continuous (unwrapped) function of true anomaly."""
-    # wrap f into (-pi, pi], remember the revolution count
-    f_mod = math.remainder(f, 2.0 * math.pi)
-    k = round((f - f_mod) / (2.0 * math.pi))
-    if abs(f_mod) == math.pi:  # tan(pi/2) blows up; apoapsis maps exactly
-        big_e = f_mod
-    else:
-        ecc = math.sqrt((1.0 - e) / (1.0 + e))
-        big_e = 2.0 * math.atan(ecc * math.tan(0.5 * f_mod))
-    big_e += 2.0 * math.pi * k
-    return big_e - e * math.sin(big_e)
+    """Mean anomaly as a continuous (unwrapped) function of true anomaly.
+
+    f may be an array. The half-angle atan2 form is finite on the whole
+    wrapped range [-pi, pi], apoapsis included.
+    """
+    k = np.rint(f / _TWO_PI)
+    f_mod = f - _TWO_PI * k
+    big_e = 2.0 * np.arctan2(math.sqrt(1.0 - e) * np.sin(0.5 * f_mod),
+                             math.sqrt(1.0 + e) * np.cos(0.5 * f_mod))
+    return big_e - e * np.sin(big_e) + _TWO_PI * k
+
+
+def _true_to_mean_scalar(e, f):
+    """_true_to_mean_unwrapped for one Python float, in math: time_to_theta
+    runs inside ODE right-hand sides, where numpy's per-call overhead on
+    scalars costs several times the arithmetic."""
+    f_mod = math.remainder(f, _TWO_PI)
+    k = round((f - f_mod) / _TWO_PI)
+    big_e = 2.0 * math.atan2(math.sqrt(1.0 - e) * math.sin(0.5 * f_mod),
+                             math.sqrt(1.0 + e) * math.cos(0.5 * f_mod))
+    return big_e - e * math.sin(big_e) + _TWO_PI * k
 
 
 def _solve_kepler(M, e):
@@ -222,13 +235,14 @@ def _solve_kepler(M, e):
 
 
 def theta_to_time(chief, theta):
-    """Time since epoch (s) at the unwrapped argument of latitude theta.
+    """Time since epoch (s) at the unwrapped argument of latitude theta
+    (scalar or array).
 
     t(theta0) = 0; t is monotone increasing and gains one period per
     2*pi of theta.
     """
     e = chief.e
-    m = _true_to_mean_unwrapped(e, theta - chief.argp)
+    m = _true_to_mean_unwrapped(e, np.asarray(theta) - chief.argp)
     m0 = _true_to_mean_unwrapped(e, chief.f0)
     return (m - m0) / chief.n
 
@@ -236,13 +250,10 @@ def theta_to_time(chief, theta):
 def time_to_theta(chief, t):
     """Unwrapped argument of latitude at time t since epoch (s)."""
     e = chief.e
-    m = _true_to_mean_unwrapped(e, chief.f0) + chief.n * t
+    m = _true_to_mean_scalar(e, chief.f0) + chief.n * t
     big_e = _solve_kepler(m, e)
-    e_mod = math.remainder(big_e, 2.0 * math.pi)
-    k = round((big_e - e_mod) / (2.0 * math.pi))
-    if abs(e_mod) == math.pi:
-        f = e_mod
-    else:
-        ecc = math.sqrt((1.0 + e) / (1.0 - e))
-        f = 2.0 * math.atan(ecc * math.tan(0.5 * e_mod))
-    return f + 2.0 * math.pi * k + chief.argp
+    e_mod = math.remainder(big_e, _TWO_PI)
+    k = round((big_e - e_mod) / _TWO_PI)
+    f = 2.0 * math.atan2(math.sqrt(1.0 + e) * math.sin(0.5 * e_mod),
+                         math.sqrt(1.0 - e) * math.cos(0.5 * e_mod))
+    return f + _TWO_PI * k + chief.argp

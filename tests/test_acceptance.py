@@ -15,7 +15,7 @@ from relmodes import (cw_modal_decomp, cw_planar_eigvecs, cw_planar_plant,
                       lf_transform, lti_closed, lti_qns, make_chief,
                       map_lti, modal_constants, mode_trajectory,
                       numeric_modal_decomp, propagate_linear, psi_time_factory,
-                      qns_lf_transform, qns_plant_theta, rebase_chief,
+                      qns_plant_theta, rebase_chief,
                       reconstruct, remap_epoch, stationary_plane,
                       time_to_theta)
 from relmodes.plants import cartesian_plant_keplerian
@@ -89,11 +89,11 @@ def test_criterion_02_qns_defining_ode():
             chief = make_chief(rng.uniform(8000.0, 45000.0), e, 1.1, 0.0,
                                rng.uniform(0.0, TWO_PI),
                                rng.uniform(0.0, TWO_PI))
-            p = qns_lf_transform(chief, dtype=np.longdouble)
             r = lti_qns(chief).R
             ths = chief.theta0 + np.linspace(0.05, TWO_PI - 0.05, 25)
             worst = max(worst, lf_defining_residual(
-                p, lambda th, c=chief: qns_plant_theta(c, float(th)), r, ths))
+                lambda th, c=chief: lf_qns(c, th),
+                lambda th, c=chief: qns_plant_theta(c, float(th)), r, ths))
     elapsed = time.time() - t_start
     ok = worst < 1e-7 and elapsed < 5.0
     report(2, ok, f"residual {worst:.2e} (<1e-7) over 5 eccentricities x 8 "
@@ -234,12 +234,12 @@ def test_criterion_07_numeric_vs_analytic():
     scale = np.max(np.abs(lam_ana))
     lam_err = np.max(np.abs(res.Lambda - lam_ana)) / scale
     ev_spread = np.max(np.abs(res.eigenstructure.eigenvalues)) * chief.period
-    p_ana = lf_transform(chief, "cartesian", indep="time")
     lf_err = 0.0
     p_scale = 0.0
     for j in range(0, 1025, 32):
         t = res.t_samples[j]
-        pa = p_ana(time_to_theta(chief, t))
+        pa = lf_transform(chief, "cartesian", time_to_theta(chief, t),
+                          indep="time")
         lf_err = max(lf_err, np.max(np.abs(res.lf_samples[j] - pa)))
         p_scale = max(p_scale, np.max(np.abs(pa)))
     lf_err /= p_scale  # entries mix units; max-norm scaled by magnitude
@@ -311,10 +311,10 @@ def test_criterion_10_singularity_handling():
     flag_a = sys_a.regularized
     c_a = modal_constants(chief_a, np.array([0.3, -0.2, 0.1, 1e-4, -2e-4,
                                              1e-4]), "cartesian")
-    p_a = qns_lf_transform(chief_a, dtype=np.longdouble)
     ths_a = chief_a.theta0 + np.linspace(0.05, TWO_PI - 0.05, 25)
     resid_a = lf_defining_residual(
-        p_a, lambda th: qns_plant_theta(chief_a, float(th)),
+        lambda th: lf_qns(chief_a, th),
+        lambda th: qns_plant_theta(chief_a, float(th)),
         lti_qns(chief_a).R, ths_a)
 
     # q1 = 0: the reference orbit itself; the delta-theta row is regular
@@ -325,12 +325,12 @@ def test_criterion_10_singularity_handling():
     rows = [[lf_qns(dataclasses.replace(chief_b, q1=q1), th)[1]
              for th in ths_b] for q1 in (-1e-12, 0.0, 1e-12)]
     jump_b = np.max(np.abs(np.diff(rows, axis=0)))
-    p_b = qns_lf_transform(chief_b, dtype=np.longdouble)
     resid_b = lf_defining_residual(
-        p_b, lambda th: qns_plant_theta(chief_b, float(th)),
+        lambda th: lf_qns(chief_b, th),
+        lambda th: qns_plant_theta(chief_b, float(th)),
         lti_qns(chief_b).R, ths_b)
-    ok = (flag_a and c_a.regularized and resid_a < 1e-5
+    ok = (flag_a and c_a.regularized and resid_a < 1e-7
           and jump_b < 1e-10 and resid_b < 1e-7)
     report(10, ok, f"e*sin(f0)=0 flagged ({flag_a}), residual {resid_a:.2e} "
-                   f"(<1e-5); q1=0 row jump across q1=+-1e-12 {jump_b:.2e} "
+                   f"(<1e-7); q1=0 row jump across q1=+-1e-12 {jump_b:.2e} "
                    f"(<1e-10), residual {resid_b:.2e} (<1e-7)")

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from relmodes import (build_mode_samplers, cart_sph_linear_at,
+from relmodes import (cart_sph_linear_at,
                       constants_dynamics, eval_at_theta, extract_constants,
                       geo_map, integrate_constants, lti_closed, make_chief,
-                      modal_constants, mode_trajectory, no_drift_maneuver_line,
+                      modal_constants, modal_state_matrix, mode_trajectory,
+                      no_drift_maneuver_line,
                       propagate_linear, psi_time_factory, rebase_chief,
                       reconstruct, remap_epoch, shorthand_abc,
                       stationary_plane, sweep_bounded_family, time_to_theta)
@@ -83,6 +84,26 @@ class TestReconstruct:
         assert np.max(np.linalg.norm(rec[:, :3] - states[:, :3],
                                      axis=1)) < 1e-6 * scale
 
+    @pytest.mark.parametrize("domain", ["qns", "cartesian", "spherical"])
+    def test_state_matrix_batch_matches_scalar(self, generic_chief, domain):
+        chief = generic_chief
+        grid = chief.theta0 + np.linspace(0.0, 3.0 * TWO_PI, 721)
+        batch = modal_state_matrix(chief, domain, grid)
+        stack = np.array([modal_state_matrix(chief, domain, th)
+                          for th in grid])
+        assert batch.shape == (721, 6, 6)
+        # each state component scaled by its largest value on the grid
+        scale = np.max(np.abs(stack), axis=(0, 2), keepdims=True)
+        assert np.max(np.abs(batch - stack) / scale) < 1e-15
+
+    def test_output_shapes(self, generic_chief, rng):
+        chief = generic_chief
+        c = modal_constants(chief, rng.standard_normal(6), "cartesian")
+        assert reconstruct(chief, c, chief.theta0 + 1.0).shape == (6,)
+        grid = chief.theta0 + np.linspace(0.0, TWO_PI, 11)
+        assert reconstruct(chief, c, grid).shape == (11, 6)
+        assert mode_trajectory(chief, 6, grid, "cartesian").shape == (11, 6)
+
     def test_superposition(self, generic_chief, rng):
         ca = modal_constants(generic_chief, rng.standard_normal(6) * 1e-3,
                              "cartesian")
@@ -126,20 +147,22 @@ class TestModeGeometry:
 
     def test_only_drift_mode_is_secular(self, generic_chief):
         th0 = generic_chief.theta0
-        samplers = build_mode_samplers(generic_chief, "cartesian")
-        for s in samplers:
-            gap = np.linalg.norm(s(th0 + TWO_PI) - s(th0))
-            scale = np.linalg.norm(s(th0))
-            if s.mode_index == 6:
-                assert s.secular and gap > 1e-6 * scale
+        start, end = modal_state_matrix(generic_chief, "cartesian",
+                                        [th0, th0 + TWO_PI])
+        for k in range(6):
+            gap = np.linalg.norm(end[:, k] - start[:, k])
+            scale = np.linalg.norm(start[:, k])
+            if k == 5:
+                assert gap > 1e-6 * scale
             else:
-                assert not s.secular and gap < 1e-9 * max(scale, 1e-12)
+                assert gap < 1e-9 * max(scale, 1e-12)
 
     def test_drift_direction_near_circular(self):
         chief = make_chief(12000.0, 1e-4, 1.0, 0.0, math.radians(270.0),
                            math.radians(90.0))
-        s6 = build_mode_samplers(chief, "cartesian")[5]
-        gap = s6(chief.theta0 + TWO_PI) - s6(chief.theta0)
+        start, end = modal_state_matrix(chief, "cartesian",
+                                        [chief.theta0, chief.theta0 + TWO_PI])
+        gap = end[:, 5] - start[:, 5]
         # secular advance per orbit is along-track
         assert abs(gap[1]) > 50.0 * np.linalg.norm(gap[[0, 2, 3, 5]])
 

@@ -130,6 +130,23 @@ class TestTimeOfLatitude:
             t = theta_to_time(chief, th)
             assert time_to_theta(chief, t) == pytest.approx(th, abs=1e-10)
 
+    def test_array_matches_scalar(self, generic_chief):
+        # periapsis and apoapsis on both sides of the wrap at f = +-pi
+        chief = generic_chief
+        f = np.array([0.0, math.pi, -math.pi, 3.0 * math.pi, -3.0 * math.pi,
+                      TWO_PI, 0.4, 11.0])
+        ths = chief.argp + f
+        ts = theta_to_time(chief, ths)
+        assert ts.shape == ths.shape
+        np.testing.assert_allclose(
+            ts, [theta_to_time(chief, th) for th in ths],
+            rtol=0.0, atol=1e-14 * chief.period)
+        half = 0.5 * chief.period
+        assert ts[1] - ts[0] == pytest.approx(half, rel=1e-12)
+        assert ts[0] - ts[2] == pytest.approx(half, rel=1e-12)
+        assert ts[3] - ts[1] == pytest.approx(chief.period, rel=1e-12)
+        assert ts[2] - ts[4] == pytest.approx(chief.period, rel=1e-12)
+
     def test_monotone(self, molniya):
         ths = molniya.theta0 + np.linspace(-2.0, 8.0, 200)
         ts = [theta_to_time(molniya, th) for th in ths]
