@@ -8,7 +8,6 @@ verbosity.
 """
 
 import argparse
-import csv
 import logging
 import math
 import os
@@ -22,7 +21,7 @@ from .floquet import (ModalConstants, is_epoch_singular,
                       lf_defining_residual, lf_qns, lti_closed, lti_qns,
                       map_lti, modal_constants, qns_r21)
 from .geometry import geo_map
-from .modal import (extract_constants, modal_state_matrix, mode_trajectory,
+from .modal import (extract_constants, modal_state_matrix, normalize_mode,
                     reconstruct, stationary_plane, sweep_bounded_family)
 from .numeric import liouville_determinant_check, numeric_modal_decomp
 from .orbit import eval_at_theta, shorthand_abc, theta_to_time, time_to_theta
@@ -54,13 +53,16 @@ def cmd_modes(args):
     warnings = _singularity_warnings(chief)
     sys_ = lti_closed(chief, rep) if rep != "qns" else lti_qns(chief)
     sh = shorthand_abc(chief)
-    for k in range(1, 7):
-        periods = args.periods if k == 6 else 1.0
-        grid = _theta_grid(chief, periods)
-        states = mode_trajectory(chief, k, grid, rep, normalize=True)
-        rio.write_trajectory_csv(
-            os.path.join(args.out, f"mode_{k}.csv"), rep, grid,
-            theta_to_time(chief, grid), states, extra_col=k)
+    # modes 1-5 are sampled over one period from one Psi stack; the drift
+    # mode spans --periods on its own grid
+    for grid, modes in ((_theta_grid(chief, 1.0), range(1, 6)),
+                        (_theta_grid(chief, args.periods), (6,))):
+        psi = modal_state_matrix(chief, rep, grid)
+        times = theta_to_time(chief, grid)
+        for k in modes:
+            rio.write_trajectory_csv(
+                os.path.join(args.out, f"mode_{k}.csv"), rep, grid, times,
+                normalize_mode(psi[..., k - 1]), extra_col=k)
     meta = {
         "representation": rep,
         "eigenvalues": rio.matrix_to_json(sys_.eigenvalues),
@@ -178,13 +180,9 @@ def cmd_sweep(args):
 
 
 def _write_lf_csv(path, t_samples, lf_samples):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"P{i+1}{j+1}" for i in range(6)
-                                 for j in range(6)])
-        for t, mat in zip(t_samples, lf_samples):
-            writer.writerow([f"{t:.15g}"] +
-                            [f"{v:.15g}" for v in mat.reshape(-1)])
+    header = ["t"] + [f"P{i+1}{j+1}" for i in range(6) for j in range(6)]
+    rio.write_csv_table(path, header, np.column_stack(
+        [t_samples, np.reshape(lf_samples, (len(t_samples), -1))]))
 
 
 def cmd_floquet_numeric(args):

@@ -63,6 +63,27 @@ def qns_diff_from_classical(chief, delta):
     return np.array([da, dtheta, di, dq1, dq2, draan])
 
 
+# rows per formatting call: as fast as one call for the whole file, with
+# a flat peak string size
+_CSV_BLOCK_ROWS = 64
+
+
+def write_csv_table(path, header, table, label=None):
+    """CSV of a 2-D float table: the header row, then one row per table row
+    with every value as %.15g and, when label is given, a trailing constant
+    label column. Line ends are CRLF, as csv.writer writes them."""
+    table = np.asarray(table, dtype=float)
+    template = ",".join(["%.15g"] * table.shape[1])
+    if label is not None:
+        template += "," + str(label).replace("%", "%%")
+    template += "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+            block = table[start:start + _CSV_BLOCK_ROWS]
+            fh.write((template * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
 def write_trajectory_csv(path, rep, thetas, times, states, extra_col=None):
     """Trajectory CSV: theta, t_s, then the six state components; an
     optional trailing constant column tags the mode index or "sum"."""
@@ -70,14 +91,8 @@ def write_trajectory_csv(path, rep, thetas, times, states, extra_col=None):
     header = ["theta", "t_s"] + STATE_COLUMNS[rep]
     if extra_col is not None:
         header.append("label")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for th, t, row in zip(thetas, times, states):
-            out = [f"{th:.15g}", f"{t:.15g}"] + [f"{v:.15g}" for v in row]
-            if extra_col is not None:
-                out.append(str(extra_col))
-            writer.writerow(out)
+    write_csv_table(path, header, np.column_stack([thetas, times, states]),
+                    label=extra_col)
 
 
 def read_trajectory_csv(path):

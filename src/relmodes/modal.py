@@ -100,11 +100,15 @@ def mode_trajectory(chief, mode_index, theta_grid, domain, normalize=False):
     if not 1 <= mode_index <= 6:
         raise ValueError("mode index must be 1..6")
     out = modal_state_matrix(chief, domain, theta_grid)[..., mode_index - 1]
-    if normalize:
-        scale = np.max(np.linalg.norm(out[..., :3], axis=-1))
-        if scale > 0.0:
-            out = out / scale
-    return out
+    return normalize_mode(out) if normalize else out
+
+
+def normalize_mode(states):
+    """Sampled solution (..., 6) divided by its largest position norm on
+    the grid, so the maximum relative distance is one; an identically zero
+    solution is returned as is."""
+    scale = np.max(np.linalg.norm(states[..., :3], axis=-1))
+    return states / scale if scale > 0.0 else states
 
 
 def rebase_chief(chief, theta0_new):

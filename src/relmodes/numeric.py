@@ -50,14 +50,15 @@ class NumericFloquetResult:
     eigenstructure: Eigenstructure
     periodic_fit_residual: float
     periodicity_defect: float    # ||P(t0+T) - I||_max
+    stm_at: object               # dense Phi(t, t0) over the sampled period
 
     def lf_at(self, t):
-        """Periodic transform at t by linear interpolation of the samples."""
-        ts = self.t_samples
-        j = int(np.searchsorted(ts, t))
-        j = min(max(j, 1), len(ts) - 1)
-        w = (t - ts[j - 1]) / (ts[j] - ts[j - 1])
-        return (1.0 - w) * self.lf_samples[j - 1] + w * self.lf_samples[j]
+        """Periodic transform P(t) = Phi(t, t0) exp(-Lambda (t - t0)) for t
+        (scalar or array) within the sampled period, from the dense output
+        of the STM integration; shape t.shape + (6, 6)."""
+        t = np.asarray(t, dtype=float)
+        dt = (t - self.t_samples[0])[..., None, None]
+        return self.stm_at(t) @ expm(-self.Lambda * dt)
 
     def chain_propagator(self, dt):
         """exp(J dt) in the detected chain basis (block upper triangular)."""
@@ -93,8 +94,10 @@ def integrate_stm(plant_fn, t0, period, tol=DEFAULT_RTOL, n_samples=None,
                   atol=DEFAULT_ATOL):
     """Integrate the variational equation Phi' = A(t) Phi over one period.
 
-    Returns (monodromy, t_samples, stm_samples); with n_samples=None only
-    the endpoint matrices are sampled.
+    Returns (monodromy, t_samples, stm_samples, stm_at); with
+    n_samples=None only the endpoint matrices are sampled. stm_at(t)
+    evaluates the DOP853 dense output at t in [t0, t0 + period] (scalar
+    or array), shape t.shape + (dim, dim).
     """
     if n_samples is None:
         t_grid = np.array([t0, t0 + period])
@@ -107,11 +110,17 @@ def integrate_stm(plant_fn, t0, period, tol=DEFAULT_RTOL, n_samples=None,
         return (plant_entries(plant_fn(t)) @ y.reshape(dim, dim)).reshape(-1)
 
     sol = solve_ivp(rhs, (t0, t0 + period), y0, method="DOP853",
-                    t_eval=t_grid, rtol=tol, atol=atol)
+                    t_eval=t_grid, rtol=tol, atol=atol, dense_output=True)
     if not sol.success:
         raise IntegrationError(f"STM integration failed: {sol.message}")
     samples = sol.y.T.reshape(-1, dim, dim)
-    return samples[-1], t_grid, samples
+    dense = sol.sol
+
+    def stm_at(t):
+        t = np.asarray(t, dtype=float)
+        return np.moveaxis(dense(t), 0, -1).reshape(t.shape + (dim, dim))
+
+    return samples[-1], t_grid, samples, stm_at
 
 
 def _nilpotent_index(n_mat, tol=_NILPOTENT_TOL):
@@ -186,9 +195,8 @@ def lf_from_monodromy(t_samples, stm_samples, lam, t0=None):
     t_samples = np.asarray(t_samples, dtype=float)
     if t0 is None:
         t0 = t_samples[0]
-    out = np.empty_like(np.asarray(stm_samples, dtype=float))
-    for j, (t, phi) in enumerate(zip(t_samples, stm_samples)):
-        out[j] = phi @ expm(-lam * (t - t0))
+    out = np.asarray(stm_samples, dtype=float) @ expm(
+        -lam * (t_samples - t0)[:, None, None])
     defect = float(np.max(np.abs(out[-1] - np.eye(out.shape[1]))))
     return out, defect
 
@@ -209,7 +217,8 @@ def fourier_periodic_fit(values, t0, period, n_harmonics):
             f"{n} samples cannot determine {n_harmonics} harmonics "
             "(need n_samples > 2*n_harmonics)"
         )
-    coeffs = np.fft.rfft(values, axis=0) / n
+    spectrum = np.fft.rfft(values, axis=0)
+    coeffs = spectrum / n
     h = min(n_harmonics, coeffs.shape[0] - 1)
     a0 = np.real(coeffs[0])
     a_cos = 2.0 * np.real(coeffs[1:h + 1])
@@ -222,8 +231,10 @@ def fourier_periodic_fit(values, t0, period, n_harmonics):
                 + np.tensordot(np.cos(k_vec * phase), a_cos, axes=(0, 0))
                 + np.tensordot(np.sin(k_vec * phase), a_sin, axes=(0, 0)))
 
-    grid = t0 + period * np.arange(n) / n
-    residual = float(max(np.max(np.abs(values[j] - fit(t))) for j, t in enumerate(grid)))
+    # on the uniform grid the fit is the inverse transform of the kept
+    # harmonics (h < n/2, so the Nyquist term is never among them)
+    residual = float(np.max(np.abs(
+        values - np.fft.irfft(spectrum[:h + 1], n=n, axis=0))))
     return fit, residual
 
 
@@ -388,8 +399,8 @@ def numeric_modal_decomp(plant_fn, t0, period, n_harmonics=32,
             f"{residual:.3e} exceeds {max_fit_residual:.1e} of scale {scale:.3e}"
         )
     integrand = fit if use_fit else plant_fn
-    monodromy, ts, stm = integrate_stm(integrand, t0, period, tol=tol,
-                                       n_samples=n_samples + 1)
+    monodromy, ts, stm, stm_at = integrate_stm(integrand, t0, period, tol=tol,
+                                               n_samples=n_samples + 1)
     lam = real_matrix_log(monodromy, period)
     lf_samples, defect = lf_from_monodromy(ts, stm, lam, t0)
     eig = detect_eigenstructure(lam)
@@ -397,6 +408,7 @@ def numeric_modal_decomp(plant_fn, t0, period, n_harmonics=32,
         monodromy=monodromy, Lambda=lam, t_samples=ts,
         lf_samples=lf_samples, eigenstructure=eig,
         periodic_fit_residual=residual, periodicity_defect=defect,
+        stm_at=stm_at,
     )
 
 

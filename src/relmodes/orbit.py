@@ -13,6 +13,7 @@ All angles are radians, lengths km, gravitational parameter km^3/s^2.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,42 +65,44 @@ class ChiefOrbit:
                 "periodic reduction theory does not apply"
             )
 
-    @property
+    # derived scalars are computed once per instance: the fields are
+    # frozen, and dataclasses.replace builds a fresh instance
+    @cached_property
     def e(self):
         return math.hypot(self.q1, self.q2)
 
-    @property
+    @cached_property
     def argp(self):
         """Argument of periapsis w = atan2(q2, q1); 0 for circular orbits."""
         if self.q1 == 0.0 and self.q2 == 0.0:
             return 0.0
         return math.atan2(self.q2, self.q1)
 
-    @property
+    @cached_property
     def f0(self):
         """Epoch true anomaly theta0 - w."""
         return self.theta0 - self.argp
 
-    @property
+    @cached_property
     def eta(self):
         return math.sqrt(1.0 - self.q1 * self.q1 - self.q2 * self.q2)
 
-    @property
+    @cached_property
     def p(self):
         """Semilatus rectum a*eta^2 (km)."""
         return self.a * self.eta * self.eta
 
-    @property
+    @cached_property
     def h(self):
         """Orbit angular momentum magnitude (km^2/s)."""
         return math.sqrt(self.mu * self.p)
 
-    @property
+    @cached_property
     def n(self):
         """Mean motion (rad/s)."""
         return math.sqrt(self.mu / self.a**3)
 
-    @property
+    @cached_property
     def period(self):
         return 2.0 * math.pi / self.n
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from relmodes import (MatrixLogError, PeriodicityError, cw_modal_decomp,
@@ -9,7 +11,7 @@ from relmodes import (MatrixLogError, PeriodicityError, cw_modal_decomp,
                       detect_eigenstructure, find_period, fourier_periodic_fit,
                       integrate_stm, lf_from_monodromy, lf_qns, lf_transform,
                       liouville_determinant_check, lti_closed, lti_qns,
-                      numeric_modal_decomp, qns_plant_theta,
+                      make_chief, numeric_modal_decomp, qns_plant_theta,
                       qns_plant_time, qns_r21, real_matrix_log, time_to_theta)
 from relmodes.plants import cartesian_plant_keplerian, cw_planar_plant
 
@@ -22,27 +24,27 @@ def keplerian_cartesian_plant(chief):
 
 class TestIntegrateStm:
     def test_identity_at_start(self, molniya):
-        _, _, samples = integrate_stm(keplerian_cartesian_plant(molniya),
+        _, _, samples, _ = integrate_stm(keplerian_cartesian_plant(molniya),
                                       0.0, 100.0, n_samples=3)
         assert np.array_equal(samples[0], np.eye(6))
 
     def test_constant_plant_matches_expm(self, rng):
         a = rng.standard_normal((6, 6)) * 0.01
         t_end = 7.0
-        mono, _, _ = integrate_stm(lambda t: a, 0.0, t_end)
+        mono, _, _, _ = integrate_stm(lambda t: a, 0.0, t_end)
         ref = expm(a * t_end)
         assert np.max(np.abs(mono - ref)) < 1e-10 * np.max(np.abs(ref))
 
     def test_cw_matches_closed_form(self):
         n = 1.45e-4
         t_end = 0.7 * TWO_PI / n
-        mono, _, _ = integrate_stm(lambda t: cw_planar_plant(n), 0.0, t_end)
+        mono, _, _, _ = integrate_stm(lambda t: cw_planar_plant(n), 0.0, t_end)
         ref = cw_stm_planar(n, t_end)
         assert np.max(np.abs(mono - ref)) < 1e-9 * np.max(np.abs(ref))
 
     def test_qns_monodromy_is_identity_plus_nilpotent(self, generic_chief):
         chief = generic_chief
-        mono, _, _ = integrate_stm(lambda th: qns_plant_theta(chief, th),
+        mono, _, _, _ = integrate_stm(lambda th: qns_plant_theta(chief, th),
                                    chief.theta0, TWO_PI)
         n_mat = mono - np.eye(6)
         assert n_mat[1, 0] == pytest.approx(TWO_PI * qns_r21(chief),
@@ -74,7 +76,7 @@ class TestRealMatrixLog:
 
     def test_keplerian_monodromy_rate(self, generic_chief):
         chief = generic_chief
-        mono, _, _ = integrate_stm(lambda th: qns_plant_theta(chief, th),
+        mono, _, _, _ = integrate_stm(lambda th: qns_plant_theta(chief, th),
                                    chief.theta0, TWO_PI)
         lam = real_matrix_log(mono, TWO_PI)
         assert lam[1, 0] == pytest.approx(qns_r21(chief), rel=1e-6)
@@ -94,16 +96,29 @@ class TestLfFromMonodromy:
     def test_lti_plant_gives_identity_transform(self):
         n = 1.45e-4
         t_end = TWO_PI / (3.0 * n)  # non-resonant span
-        mono, ts, stm = integrate_stm(lambda t: cw_plant_full(n), 0.0,
+        mono, ts, stm, _ = integrate_stm(lambda t: cw_plant_full(n), 0.0,
                                       t_end, n_samples=40)
         lam = real_matrix_log(mono, t_end)
         samples, defect = lf_from_monodromy(ts, stm, lam)
         assert defect < 1e-7
         assert np.max(np.abs(samples - np.eye(6))) < 1e-7
 
+    def test_batched_matches_per_sample_expm(self, generic_chief):
+        chief = generic_chief
+        plant = keplerian_cartesian_plant(chief)
+        mono, ts, stm, _ = integrate_stm(plant, 0.0, chief.period,
+                                         n_samples=129)
+        lam = real_matrix_log(mono, chief.period)
+        samples, defect = lf_from_monodromy(ts, stm, lam)
+        loop = np.array([phi @ expm(-lam * (t - ts[0]))
+                         for t, phi in zip(ts, stm)])
+        scale = np.max(np.abs(loop))
+        assert np.max(np.abs(samples - loop)) <= 1e-15 * scale
+        assert abs(defect - np.max(np.abs(loop[-1] - np.eye(6)))) <= 1e-15 * scale
+
     def test_matches_closed_form_qns_transform(self, generic_chief):
         chief = generic_chief
-        mono, ts, stm = integrate_stm(lambda th: qns_plant_theta(chief, th),
+        mono, ts, stm, _ = integrate_stm(lambda th: qns_plant_theta(chief, th),
                                       chief.theta0, TWO_PI, n_samples=33)
         lam = real_matrix_log(mono, TWO_PI)
         samples, defect = lf_from_monodromy(ts, stm, lam)
@@ -148,6 +163,18 @@ class TestFourierFit:
         values = np.array([plant(t).entries for t in grid])
         _, residual = fourier_periodic_fit(values, 0.0, chief.period, 160)
         assert residual < 1e-10
+
+    @pytest.mark.parametrize("n_harmonics", [4, 32, 200])
+    def test_residual_matches_sample_loop(self, generic_chief, n_harmonics):
+        chief = generic_chief
+        plant = keplerian_cartesian_plant(chief)
+        n_samples = 1024
+        grid = chief.period * np.arange(n_samples) / n_samples
+        values = np.array([plant(t).entries for t in grid])
+        fit, residual = fourier_periodic_fit(values, 0.0, chief.period,
+                                             n_harmonics)
+        loop = max(np.max(np.abs(v - fit(t))) for v, t in zip(values, grid))
+        assert abs(residual - loop) <= 1e-14 * np.max(np.abs(values))
 
     def test_underdetermined_rejected(self):
         values = np.zeros((8, 6, 6))
@@ -250,6 +277,21 @@ class TestPipeline:
             pscale = max(pscale, np.max(np.abs(pa)))
         assert worst < 1e-5 * pscale
 
+    def test_lf_at_midpoints(self, generic_chief):
+        """Between the samples the dense STM output keeps the transform at
+        its on-sample accuracy (linear interpolation was 9e-5 off)."""
+        chief = generic_chief
+        res = numeric_modal_decomp(keplerian_cartesian_plant(chief), 0.0,
+                                   chief.period)
+        ts = res.t_samples
+        assert np.array_equal(res.lf_at(ts), res.lf_samples)
+        mids = 0.5 * (ts[:-1] + ts[1:])
+        thetas = np.array([time_to_theta(chief, t) for t in mids])
+        pa = lf_transform(chief, "cartesian", thetas, indep="time")
+        got = res.lf_at(mids)
+        assert np.max(np.abs(got - pa)) < 1e-7 * np.max(np.abs(pa))
+        assert np.array_equal(res.lf_at(mids[7]), got[7])
+
     def test_aperiodic_content_reported_and_bounded(self, molniya):
         n = molniya.n
         span = molniya.period / 3.0  # off-resonance for the oscillators
@@ -287,6 +329,32 @@ class TestPipeline:
             keplerian_cartesian_plant(molniya), 0.0, molniya.period,
             res.monodromy)
         assert mismatch < 1e-6
+
+
+@given(a=st.floats(7000.0, 45000.0), e=st.floats(0.01, 0.85),
+       inc=st.floats(math.radians(10.0), math.radians(170.0)),
+       raan=st.floats(0.0, TWO_PI), argp=st.floats(0.0, TWO_PI),
+       f0=st.floats(0.0, TWO_PI))
+@settings(max_examples=25, deadline=None)
+def test_numeric_lambda_matches_closed_form(a, e, inc, raan, argp, f0):
+    assume(abs(math.sin(f0)) >= 0.2)
+    chief = make_chief(a, e, inc, raan, argp, f0)
+    res = numeric_modal_decomp(keplerian_cartesian_plant(chief), 0.0,
+                               chief.period)
+    lam_ana = lti_closed(chief, "cartesian", indep="time").R
+    assert np.max(np.abs(res.Lambda - lam_ana)) < 1e-6 * np.max(np.abs(lam_ana))
+
+
+@pytest.mark.xfail(strict=True, raises=MatrixLogError, reason=(
+    "the integrated monodromy departs from exp(Lambda T) by 9e-8 relative "
+    "at e = 0.9, so the log/exp round trip fails for e >= 0.89"))
+def test_numeric_lambda_at_high_eccentricity():
+    chief = make_chief(26600.0, 0.9, math.radians(63.4), 0.3,
+                       math.radians(215.0), math.radians(40.0))
+    res = numeric_modal_decomp(keplerian_cartesian_plant(chief), 0.0,
+                               chief.period)
+    lam_ana = lti_closed(chief, "cartesian", indep="time").R
+    assert np.max(np.abs(res.Lambda - lam_ana)) < 1e-6 * np.max(np.abs(lam_ana))
 
 
 class TestDeltaPCorrection:

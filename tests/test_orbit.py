@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from relmodes import (MU_EARTH, OrbitDefinitionError, eval_at_theta,
-                      make_chief, shorthand_abc, theta_to_time, time_to_theta)
+from relmodes import (MU_EARTH, ChiefOrbit, OrbitDefinitionError,
+                      eval_at_theta, make_chief, shorthand_abc, theta_to_time,
+                      time_to_theta)
 from relmodes.floquet import qns_r21
 
 from conftest import random_chief
@@ -38,6 +40,19 @@ class TestMakeChief:
             make_chief(26600.0, 1.3, 1.0, 0.0, 0.0, 0.0)
         with pytest.raises(OrbitDefinitionError):
             make_chief(-26600.0, 0.1, 1.0, 0.0, 0.0, 0.0)
+
+
+    def test_replace_recomputes_derived_scalars(self, generic_chief):
+        for attr in ("p", "h", "f0"):
+            getattr(generic_chief, attr)  # fill the source's cache
+        other = dataclasses.replace(generic_chief, a=9000.0, q1=0.01,
+                                    theta0=generic_chief.theta0 + 1.0)
+        fresh = ChiefOrbit(a=9000.0, q1=0.01, q2=generic_chief.q2,
+                           inc=generic_chief.inc, raan=generic_chief.raan,
+                           theta0=generic_chief.theta0 + 1.0)
+        for attr in ("p", "h", "f0"):
+            assert getattr(other, attr) == getattr(fresh, attr)
+            assert getattr(other, attr) != getattr(generic_chief, attr)
 
 
 class TestEvalAtTheta:
