@@ -9,13 +9,12 @@ and a generic numeric pipeline for near-periodic plants.
 from .errors import (InclinationSingularityError, IntegrationError,
                      KeplerConvergenceError, MatrixLogError,
                      NearSingularMatrixError, OrbitDefinitionError,
-                     PeriodicityError, RelMotionError, SingularConfigError)
+                     PeriodicityError, RelMotionError)
 from .floquet import (CwModalDecomp, LtiSystem, ModalConstants,
                       cw_modal_decomp, cw_planar_eigvecs, delta_theta_solution,
-                      eigvecs_closed, is_epoch_singular, lf_defining_residual,
-                      lf_qns, lf_transform, lti_cartesian_closed, lti_closed,
-                      lti_qns, lti_spherical_closed, map_lti,
-                      modal_constants, qns_r21)
+                      drift_constant, eigvecs_closed, lf_defining_residual,
+                      lf_qns, lf_transform, lti_closed, lti_qns, map_lti,
+                      modal_constants, qns_r21, state_transition)
 from .geometry import (GeoMap, SphState, cart_sph_linear, cart_sph_linear_at,
                        cart_to_sph, g_cartesian, g_inverse, g_spherical,
                        geo_map, sph_to_cart)

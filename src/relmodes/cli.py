@@ -17,9 +17,9 @@ import numpy as np
 
 from . import io as rio
 from .errors import RelMotionError
-from .floquet import (ModalConstants, is_epoch_singular,
-                      lf_defining_residual, lf_qns, lti_closed, lti_qns,
-                      map_lti, modal_constants, qns_r21)
+from .floquet import (ModalConstants, drift_constant, lf_defining_residual,
+                      lf_qns, lti_closed, lti_qns, map_lti, modal_constants,
+                      qns_r21, state_transition)
 from .geometry import geo_map
 from .modal import (extract_constants, modal_state_matrix, normalize_mode,
                     reconstruct, stationary_plane, sweep_bounded_family)
@@ -35,23 +35,12 @@ def _theta_grid(chief, periods, samples_per_period=240):
     return np.linspace(chief.theta0, chief.theta0 + 2.0 * math.pi * periods, n)
 
 
-def _singularity_warnings(chief):
-    notes = []
-    if is_epoch_singular(chief):
-        notes.append("epoch has e*sin(f0) ~ 0: eigenvector inversion "
-                     "regularized; consider shifting f0 away from k*pi")
-    for msg in notes:
-        log.warning(msg)
-    return notes
-
-
 def cmd_modes(args):
     cfg = rio.load_config(args.config)
     chief = rio.chief_from_config(cfg.get("orbit", cfg))
     rep = rio.REP_ALIASES[args.rep]
     os.makedirs(args.out, exist_ok=True)
-    warnings = _singularity_warnings(chief)
-    sys_ = lti_closed(chief, rep) if rep != "qns" else lti_qns(chief)
+    sys_ = lti_closed(chief, rep)
     sh = shorthand_abc(chief)
     # modes 1-5 are sampled over one period from one Psi stack; the drift
     # mode spans --periods on its own grid
@@ -70,8 +59,6 @@ def cmd_modes(args):
         "shorthands": {"gamma": sh.gamma, "Aq": sh.Aq, "Bq": sh.Bq,
                        "Cq": sh.Cq},
         "R21": qns_r21(chief), "Lambda21": qns_r21(chief) * chief.n,
-        "regularized": sys_.regularized,
-        "warnings": warnings,
         "drift_mode_periods": args.periods,
     }
     rio.write_json(os.path.join(args.out, "modes_metadata.json"), meta)
@@ -102,7 +89,6 @@ def cmd_decompose(args):
     chief = rio.chief_from_config(cfg.get("orbit", cfg))
     rep = rio.REP_ALIASES[args.rep]
     os.makedirs(args.out, exist_ok=True)
-    warnings = _singularity_warnings(chief)
     state0 = _initial_state(cfg, chief, rep)
     if rep == "qns":
         constants = extract_constants(chief, state0, chief.theta0, rep)
@@ -110,12 +96,12 @@ def cmd_decompose(args):
         constants = modal_constants(chief, state0, rep)
     grid = _theta_grid(chief, args.periods)
     times = theta_to_time(chief, grid)
-    psi = modal_state_matrix(chief, rep, grid)
-    total = psi @ constants.c
+    total = state_transition(chief, rep, grid) @ state0
     rio.write_trajectory_csv(os.path.join(args.out, "trajectory.csv"),
                              rep, grid, times, total, extra_col="sum")
-    # contrib[:, :, k] is the contribution of mode k+1
-    contrib = psi * constants.c
+    # contrib[:, :, k] is the contribution of mode k+1; their sum misses
+    # the state-transition trajectory by the rounding of the weights
+    contrib = modal_state_matrix(chief, rep, grid) * constants.c
     for k in range(1, 7):
         rio.write_trajectory_csv(
             os.path.join(args.out, f"contribution_mode_{k}.csv"), rep,
@@ -125,11 +111,9 @@ def cmd_decompose(args):
         "constants": constants.c.tolist(),
         "representation": rep,
         "theta0": constants.theta0,
-        "regularized": constants.regularized,
         "drifting": bool(abs(constants.c[5]) > args.tol),
         "c6": constants.c[5],
         "sum_of_modes_max_error": sum_err,
-        "warnings": warnings,
     }
     rio.write_json(os.path.join(args.out, "constants.json"), payload)
     log.info("c = %s (drifting=%s)", constants.c, payload["drifting"])
@@ -141,7 +125,6 @@ def cmd_reconstruct(args):
     chief = rio.chief_from_config(cfg.get("orbit", cfg))
     rep = rio.REP_ALIASES[args.rep]
     os.makedirs(args.out, exist_ok=True)
-    _singularity_warnings(chief)
     constants = ModalConstants(c=np.asarray(cfg["constants"], dtype=float),
                                domain=rep, theta0=chief.theta0)
     grid = _theta_grid(chief, args.periods)
@@ -156,25 +139,23 @@ def cmd_sweep(args):
     cfg = rio.load_config(args.config)
     chief = rio.chief_from_config(cfg.get("orbit", cfg))
     os.makedirs(args.out, exist_ok=True)
-    warnings = _singularity_warnings(chief)
     x0 = float(cfg["x0_km"])
     y0 = float(cfg["y0_km"])
     xdot0_list = [float(v) for v in cfg["xdot0_list_kmps"]]
     members = sweep_bounded_family(chief, x0, y0, xdot0_list)
     grid = _theta_grid(chief, args.periods)
     times = theta_to_time(chief, grid)
-    psi = modal_state_matrix(chief, "cartesian", grid)
+    phi = state_transition(chief, "cartesian", grid)
     summary = []
     for k, mem in enumerate(members):
-        states = psi @ mem.constants.c
+        states = phi @ mem.state0
         rio.write_trajectory_csv(os.path.join(args.out, f"family_{k}.csv"),
                                  "cartesian", grid, times, states,
                                  extra_col=k)
         summary.append({"xdot0_kmps": mem.xdot0, "ydot0_kmps": mem.ydot0,
                         "constants": mem.constants.c.tolist()})
     rio.write_json(os.path.join(args.out, "family.json"),
-                   {"anchor_km": [x0, y0], "members": summary,
-                    "warnings": warnings})
+                   {"anchor_km": [x0, y0], "members": summary})
     log.info("wrote %d family members", len(members))
     return 0
 
@@ -292,31 +273,20 @@ def _suite_boundedness(chief):
         + 1e-5 * rng.standard_normal(6)
     doe[0] = 0.0  # da = 0: bounded
     x0 = geo_map(chief, chief.theta0, "cartesian").entries @ doe
-    constants = modal_constants(chief, x0, "cartesian")
-    start = reconstruct(chief, constants, chief.theta0, "cartesian")
-    end = reconstruct(chief, constants, chief.theta0 + 2.0 * math.pi,
-                      "cartesian")
-    resid = float(np.linalg.norm(end - start) / np.linalg.norm(start))
-    # regularized eigenvectors on singular epochs cost a few orders
-    tol = 1e-6 if is_epoch_singular(chief) else 1e-9
-    return {"residual": resid, "c6": constants.c[5], "tolerance": tol,
-            "passed": bool(resid < tol)}
-
-
-def _suite_singularity(chief):
-    report = {
-        "epoch_singular": is_epoch_singular(chief),
-        "regularized_paths": [],
-        "passed": True,
-    }
-    if is_epoch_singular(chief):
-        report["regularized_paths"].append(
-            "eigenvector inversion with |e sin f0| -> 1e-8")
-    return report
+    phi = state_transition(chief, "cartesian", chief.theta0 + 2.0 * math.pi)
+    resid = float(np.linalg.norm(phi @ x0 - x0) / np.linalg.norm(x0))
+    tol = 1e-9
+    return {"residual": resid, "c6": drift_constant(chief, x0, "cartesian"),
+            "tolerance": tol, "passed": bool(resid < tol)}
 
 
 def _suite_stationary_plane(chief):
     plane = stationary_plane(chief)
+    if not np.any(plane.zeta):
+        # A = B = 0 (e = 0): the rate direction vanishes, so every point
+        # is stationary and the plane is not defined
+        return {"degenerate": "zeta = 0 at e = 0: every point is "
+                              "stationary", "passed": True}
     num = abs(float(np.dot(plane.zeta, plane.n_vec)))
     den = float(np.linalg.norm(plane.zeta) * np.linalg.norm(plane.n_vec))
     resid = num / den
@@ -331,10 +301,9 @@ def _suite_cw_limit(chief):
     # c6 of ydot0 = 0 gives the chief's own no-drift condition (the
     # circular-chief -2 n x0 drifts on an eccentric chief)
     x0 = np.array([0.05, 0.12, 0.0, 0.0, 0.0, 0.0])
-    x0[4] = -modal_constants(chief, x0, "cartesian").c[5]
-    constants = modal_constants(chief, x0, "cartesian")
+    x0[4] = -drift_constant(chief, x0, "cartesian")
     grid = np.linspace(chief.theta0, chief.theta0 + 2.0 * math.pi, 720)
-    traj = reconstruct(chief, constants, grid, "cartesian")
+    traj = state_transition(chief, "cartesian", grid) @ x0
     ax = 0.5 * (traj[:, 0].max() - traj[:, 0].min())
     ay = 0.5 * (traj[:, 1].max() - traj[:, 1].min())
     ratio = ay / ax
@@ -348,7 +317,6 @@ def cmd_validate(args):
     cfg = rio.load_config(args.config)
     chief = rio.chief_from_config(cfg.get("orbit", cfg))
     os.makedirs(args.out, exist_ok=True)
-    warnings = _singularity_warnings(chief)
     suites = {
         "latitude_time_quadrature": _suite_quadrature,
         "shorthand_identities": _suite_shorthands,
@@ -357,9 +325,8 @@ def cmd_validate(args):
         "boundedness_dichotomy": _suite_boundedness,
         "stationary_plane_orthogonality": _suite_stationary_plane,
         "circular_limit_axis_ratio": _suite_cw_limit,
-        "singularity_handling": _suite_singularity,
     }
-    report = {"warnings": warnings, "suites": {}}
+    report = {"suites": {}}
     failed = 0
     for name, fn in suites.items():
         try:

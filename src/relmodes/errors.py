@@ -13,11 +13,6 @@ class KeplerConvergenceError(RelMotionError, RuntimeError):
     """Kepler equation iteration failed to converge."""
 
 
-class SingularConfigError(RelMotionError, ValueError):
-    """Epoch configuration is singular (e*sin(f0) = 0) and regularization
-    was disabled."""
-
-
 class NearSingularMatrixError(RelMotionError, ValueError):
     """A matrix that must be inverted is numerically near-singular."""
 

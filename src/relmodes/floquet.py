@@ -15,31 +15,16 @@ multiplicity five (one 2-chain); the generalized direction carries the
 secular drift and its weight c6 is the boundedness condition.
 """
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearSingularMatrixError, SingularConfigError
+from .errors import NearSingularMatrixError
 from .geometry import g_inverse, geo_map
 from .orbit import eval_at_theta, shorthand_abc, theta_to_time
 
-A_EPS = 1e-8    # e*sin(f0) regularization for eigenvector inversion
 _CSTEP = 1e-30  # complex-step size of the residual diagnostics
-
-
-def is_epoch_singular(chief):
-    """True when e*sin(f0) ~ 0, i.e. the eigenvector matrix is singular."""
-    return abs(shorthand_abc(chief).Aq) < A_EPS
-
-
-def _regularized_shorthands(chief):
-    sh = shorthand_abc(chief)
-    if abs(sh.Aq) >= A_EPS:
-        return sh, False
-    aq = A_EPS if sh.Aq == 0.0 else math.copysign(A_EPS, sh.Aq)
-    return dataclasses.replace(sh, Aq=aq), True
 
 
 @dataclass(frozen=True)
@@ -58,7 +43,6 @@ class LtiSystem:
     chains: tuple
     domain: str
     indep: str        # "theta" | "time"
-    regularized: bool = False
 
 
 @dataclass(frozen=True)
@@ -68,7 +52,6 @@ class ModalConstants:
     c: np.ndarray
     domain: str
     theta0: float
-    regularized: bool = False
 
     def as_array(self):
         return np.asarray(self.c, dtype=float)
@@ -190,7 +173,6 @@ def lti_qns(chief, indep="theta"):
         R=r, V=v, eigenvalues=np.zeros(6),
         chains=((0,), (1,), (2,), (3,), (4, 5)),
         domain="qns", indep=indep,
-        regularized=False,
     )
 
 
@@ -233,11 +215,39 @@ def lf_transform(chief, domain, theta, indep="theta"):
     G(theta0)^-1, with P the element-difference transform. Returns shape
     theta.shape + (6, 6).
     """
-    p = lf_qns(chief, theta, indep)
+    return _to_local(chief, domain, theta, lf_qns(chief, theta, indep))
+
+
+def state_transition(chief, domain, theta):
+    """State transition matrix Phi(theta, theta0) = P(theta) (I + (theta -
+    theta0) R) in the requested coordinates, for a scalar or array theta;
+    shape theta.shape + (6, 6).
+
+    Phi @ x0 is the state at theta of the solution through x0 at theta0.
+    R is nilpotent (R^2 = 0), so I + (theta - theta0) R is exp of the
+    reduced plant exactly. Nothing here inverts the eigenvector matrix, so
+    Phi is regular at every epoch, e*sin(f0) = 0 and e = 0 included.
+
+    The drift is applied in element differences, where R is the single
+    entry R21, and mapped as G(theta) Phi G(theta0)^-1. The local R_x is
+    rank one with entries far larger than R_x @ x0, so multiplying by it
+    costs digits that this order keeps.
+    """
+    theta = np.asarray(theta, dtype=float)
+    phi = lf_qns(chief, theta)
+    # I + dtheta R adds dtheta R21 times column 1 to column 0
+    phi[..., :, 0] += ((theta - chief.theta0) * qns_r21(chief))[..., None] \
+        * phi[..., :, 1]
+    return _to_local(chief, domain, theta, phi)
+
+
+def _to_local(chief, domain, theta, m):
+    """G(theta) m G(theta0)^-1: a stack of element-difference propagators
+    in the requested coordinates."""
     if domain == "qns":
-        return p
+        return m
     g0_inv = g_inverse(geo_map(chief, chief.theta0, domain))
-    return geo_map(chief, theta, domain).entries @ p @ g0_inv
+    return geo_map(chief, theta, domain).entries @ m @ g0_inv
 
 
 # ---------------------------------------------------------------------------
@@ -306,21 +316,15 @@ def _v_spherical(chief, sh):
     ])
 
 
-def eigvecs_closed(chief, domain, regularize=True):
+def eigvecs_closed(chief, domain):
     """Closed-form true/generalized eigenvector matrix of the reduced
     local-coordinate plant. Columns 1..4 (0-based 0..3) are null
     directions, column 4 heads the drift 2-chain and column 5 closes it.
 
-    The matrix is invertible iff e*sin(f0) != 0. On singular epochs either
-    raises (regularize=False) or substitutes |A| = 1e-8, which keeps the
-    columns independent at the cost of an O(1e-8) model inconsistency.
+    The columns are finite for every closed chief, but the matrix is
+    invertible iff e*sin(f0) != 0.
     """
-    sh, flagged = _regularized_shorthands(chief)
-    if flagged and not regularize:
-        raise SingularConfigError(
-            "epoch has e*sin(f0) = 0: eigenvector matrix singular; "
-            "shift f0 away from k*pi or enable regularization"
-        )
+    sh = shorthand_abc(chief)
     if domain == "cartesian":
         return _v_cartesian(chief, sh)
     if domain == "spherical":
@@ -328,48 +332,33 @@ def eigvecs_closed(chief, domain, regularize=True):
     raise ValueError(f"unknown domain {domain!r}")
 
 
-def _closed_lti(chief, domain, indep, regularize):
-    sh, flagged = _regularized_shorthands(chief)
-    if flagged and not regularize:
-        raise SingularConfigError(
-            "epoch has e*sin(f0) = 0; shift f0 away from k*pi or enable "
-            "regularization"
-        )
-    exact_sh = shorthand_abc(chief)
+def lti_closed(chief, domain, indep="theta"):
+    """Closed-form reduced constant plant and its eigenvectors in the
+    element-difference ("qns"), LVLH Cartesian or local spherical state.
+
+    R is regular at every epoch; V is singular where e*sin(f0) = 0.
+    """
+    if domain == "qns":
+        return lti_qns(chief, indep)
+    sh = shorthand_abc(chief)
     build_r = _r_cartesian if domain == "cartesian" else _r_spherical
-    build_v = _v_cartesian if domain == "cartesian" else _v_spherical
-    r = build_r(chief, exact_sh)  # the plant itself is regular for any A
+    r = build_r(chief, sh)
     if indep == "time":
         r = chief.n * r
     return LtiSystem(
-        R=r, V=build_v(chief, sh), eigenvalues=np.zeros(6),
+        R=r, V=eigvecs_closed(chief, domain), eigenvalues=np.zeros(6),
         chains=((0,), (1,), (2,), (3,), (4, 5)),
-        domain=domain, indep=indep, regularized=flagged,
+        domain=domain, indep=indep,
     )
 
 
-def lti_cartesian_closed(chief, indep="theta", regularize=True):
-    """Closed-form reduced plant and eigenvectors, LVLH Cartesian state."""
-    return _closed_lti(chief, "cartesian", indep, regularize)
-
-
-def lti_spherical_closed(chief, indep="theta", regularize=True):
-    """Closed-form reduced plant and eigenvectors, local spherical state."""
-    return _closed_lti(chief, "spherical", indep, regularize)
-
-
-def lti_closed(chief, domain, indep="theta", regularize=True):
-    if domain == "qns":
-        return lti_qns(chief, indep)
-    return _closed_lti(chief, domain, indep, regularize)
-
-
-def balanced_solve(v, rhs):
-    """Solve V c = rhs with column balancing.
+def _balanced(v):
+    """Column-balanced copy of V and its column norms.
 
     The drift column's scale typically dwarfs the others, so the raw
     matrix can be poorly scaled even when well separated; normalizing
-    columns before the solve removes that artifact.
+    columns removes that artifact. Raises NearSingularMatrixError when the
+    balanced condition number exceeds 1e12.
     """
     v = np.asarray(v, dtype=float)
     scale = np.linalg.norm(v, axis=0)
@@ -379,46 +368,71 @@ def balanced_solve(v, rhs):
         raise NearSingularMatrixError(
             f"eigenvector matrix near singular (balanced cond={cond:.3e})"
         )
-    y = np.linalg.solve(v / scale, np.asarray(rhs, dtype=float))
-    return y / scale
+    return v / scale, scale
+
+
+def balanced_solve(v, rhs):
+    """Solve V c = rhs with column balancing (see _balanced)."""
+    vb, scale = _balanced(v)
+    return np.linalg.solve(vb, np.asarray(rhs, dtype=float)) / scale
+
+
+def check_regular_epoch(chief, domain):
+    """Raise NearSingularMatrixError where the local-coordinate eigenvector
+    matrix of `domain` is numerically singular (e*sin(f0) ~ 0), so that no
+    modal weights exist; the element-difference one never is.
+
+    The singularity belongs to the epoch, so the balanced_solve gate on
+    the Cartesian matrix decides for both local domains. The spherical
+    matrix's mixed km/rad rows mask it: at f0 = pi on the generic orbit its
+    balanced cond is 8.9e11, under the gate, while weights solved from it
+    miss the state by 0.5 (relative); the Cartesian one reads 5.2e16.
+    """
+    if domain != "qns":
+        _balanced(eigvecs_closed(chief, "cartesian"))
+
+
+def drift_constant(chief, state0, domain):
+    """Weight c6 of the drift solution for an initial local state at
+    theta0 ("cartesian" or "spherical").
+
+    The printed formula is regular at every epoch, e*sin(f0) = 0 and e = 0
+    included. It vanishes exactly when the deputy's semimajor axis matches
+    the chief's, and the along-track rate (ydot, or theta_r dot) enters
+    it with unit weight.
+    """
+    x0 = np.asarray(state0, dtype=float)
+    st0 = eval_at_theta(chief, chief.theta0)
+    r0, vr0, vt0 = st0.r, st0.vr, st0.vt
+    p = chief.p
+    if domain == "cartesian":
+        return float((p / r0 + 1.0) * (p / r0) * chief.n / chief.eta**3 * x0[0]
+                     + vr0 / (vt0 * shorthand_abc(chief).Cq) * x0[1]
+                     + vr0 / vt0 * x0[3] + x0[4])
+    if domain == "spherical":
+        return float(chief.mu / (chief.h * r0**2) * (1.0 + p / r0) * x0[0]
+                     + vr0 / (vt0 * r0) * x0[3] + x0[4])
+    raise ValueError(f"unknown domain {domain!r}")
 
 
 def modal_constants(chief, state0, domain):
-    """Fundamental-solution weights for an initial local state at theta0.
+    """Fundamental-solution weights for an initial local state at theta0,
+    from the printed closed forms.
 
-    Uses the printed closed forms when the epoch radial velocity is
-    usable. On singular epochs (vr0 ~ 0, equivalently e*sin(f0) ~ 0) only
-    c1, c3 and c5 carry vr0 denominators; those come from a balanced
-    solve against the regularized eigenvector matrix, while c2, c4 and c6
-    keep their closed forms, which stay regular.
+    c1, c3 and c5 carry 1/vr0, and vr0 is proportional to e*sin(f0), where
+    the eigenvector matrix turns singular. There the weights are finite
+    but meaningless, and NearSingularMatrixError is raised (see
+    check_regular_epoch); state_transition propagates a state at every
+    epoch without them.
     """
     x0 = np.asarray(state0, dtype=float)
-    sh = shorthand_abc(chief)
+    check_regular_epoch(chief, domain)
     st0 = eval_at_theta(chief, chief.theta0)
-    if abs(sh.Aq) < A_EPS:
-        v = eigvecs_closed(chief, domain, regularize=True)
-        c = balanced_solve(v, x0)
-        r0, vt0 = st0.r, st0.vt
-        p, n, h, mu = chief.p, chief.n, chief.h, chief.mu
-        eta3 = chief.eta**3
-        if domain == "cartesian":
-            c[1] = x0[2]
-            c[3] = x0[5]
-            c[5] = ((p / r0 + 1.0) * (p / r0) * n / eta3 * x0[0]
-                    + st0.vr / (vt0 * sh.Cq) * x0[1]
-                    + st0.vr / vt0 * x0[3] + x0[4])
-        else:
-            c[1] = x0[2]
-            c[3] = x0[5]
-            c[5] = (mu / (h * r0**2) * (1.0 + p / r0) * x0[0]
-                    + st0.vr / (vt0 * r0) * x0[3] + x0[4])
-        return ModalConstants(c=c, domain=domain, theta0=chief.theta0,
-                              regularized=True)
     r0, vr0, vt0 = st0.r, st0.vr, st0.vt
-    p, a, n, h, mu = chief.p, chief.a, chief.n, chief.h, chief.mu
+    p, a, n = chief.p, chief.a, chief.n
     e2 = chief.q1**2 + chief.q2**2
-    eta3 = chief.eta**3
-    cq = sh.Cq
+    cq = shorthand_abc(chief).Cq
+    c6 = drift_constant(chief, x0, domain)  # rejects an unknown domain
     if domain == "cartesian":
         x, y, z, xd, yd, zd = x0
         c = np.array([
@@ -427,10 +441,9 @@ def modal_constants(chief, state0, domain):
             (-(vt0 * r0) / (vr0 * p) * x + y + cq * xd) / cq,
             zd,
             -(1.0 - e2) * vt0 / (3.0 * vr0) * n * (r0 / p) ** 2 * x,
-            (p / r0 + 1.0) * (p / r0) * n / eta3 * x
-            + vr0 / (vt0 * cq) * y + vr0 / vt0 * xd + yd,
+            c6,
         ])
-    elif domain == "spherical":
+    else:
         dr, th_r, ph_r, drd, th_rd, ph_rd = x0
         c = np.array([
             -vt0 / (vr0 * r0) * dr + th_r,
@@ -438,13 +451,9 @@ def modal_constants(chief, state0, domain):
             ((1.0 - r0 / p) * vt0 / vr0 * dr + cq * drd) / cq,
             ph_rd,
             -vt0 / (3.0 * vr0 * a) * n * (r0 / p) * dr,
-            mu / (h * r0**2) * (1.0 + p / r0) * dr
-            + vr0 / (vt0 * r0) * drd + th_rd,
+            c6,
         ])
-    else:
-        raise ValueError(f"unknown domain {domain!r}")
-    return ModalConstants(c=c, domain=domain, theta0=chief.theta0,
-                          regularized=False)
+    return ModalConstants(c=c, domain=domain, theta0=chief.theta0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError
-from .floquet import (ModalConstants, balanced_solve, eigvecs_closed,
-                      is_epoch_singular, lf_qns, lf_transform, lti_closed,
-                      modal_constants, qns_r21)
+from .floquet import (ModalConstants, balanced_solve, check_regular_epoch,
+                      drift_constant, eigvecs_closed, lf_qns, lf_transform,
+                      lti_closed, modal_constants, qns_r21, state_transition)
 from .geometry import g_inverse, geo_map
 from .orbit import eval_at_theta, shorthand_abc, time_to_theta
 
@@ -79,16 +79,17 @@ def extract_constants(chief, state, theta, domain):
     """Constants whose modal solution passes through `state` at theta.
 
     At theta = theta0 this reduces to the balanced solve against V; the
-    closed-form route is modal_constants.
+    closed-form route is modal_constants. Raises NearSingularMatrixError at
+    an epoch with e*sin(f0) ~ 0 (see check_regular_epoch).
     """
+    check_regular_epoch(chief, domain)
     sys = lti_closed(chief, domain)
     m = sys.V.copy()
     m[:, 5] += (theta - chief.theta0) * sys.V[:, 4]
     chi = np.linalg.solve(lf_transform(chief, domain, theta),
                           np.asarray(state, dtype=float))
     c = balanced_solve(m, chi)
-    return ModalConstants(c=c, domain=domain, theta0=chief.theta0,
-                          regularized=sys.regularized)
+    return ModalConstants(c=c, domain=domain, theta0=chief.theta0)
 
 
 def mode_trajectory(chief, mode_index, theta_grid, domain, normalize=False):
@@ -122,20 +123,17 @@ def remap_epoch(chief, constants, theta0_new):
     c' = V'(theta0')^-1 Phi(theta0', theta0) V(theta0) c, where Phi is the
     state transition matrix in the local coordinates and V' belongs to the
     rebased chief. Reconstructing with the rebased chief and the returned
-    constants reproduces the original trajectory.
+    constants reproduces the original trajectory. Raises
+    NearSingularMatrixError when the new epoch has e*sin(f0') ~ 0.
     """
     domain = constants.domain
-    sys = lti_closed(chief, domain)
-    dtheta = theta0_new - chief.theta0
-    # Phi(theta0', theta0) = P(theta0') (I + R dtheta)
-    phi = lf_transform(chief, domain, theta0_new) @ (np.eye(6) + sys.R * dtheta)
     chief_new = rebase_chief(chief, theta0_new)
-    v_new = eigvecs_closed(chief_new, domain, regularize=True)
-    c_new = balanced_solve(v_new, phi @ sys.V @ constants.as_array())
+    check_regular_epoch(chief_new, domain)
+    x_new = (state_transition(chief, domain, theta0_new)
+             @ eigvecs_closed(chief, domain) @ constants.as_array())
     return ModalConstants(
-        c=c_new, domain=domain, theta0=theta0_new,
-        regularized=constants.regularized or is_epoch_singular(chief_new),
-    )
+        c=balanced_solve(eigvecs_closed(chief_new, domain), x_new),
+        domain=domain, theta0=theta0_new)
 
 
 def no_drift_maneuver_line(chief, theta=None):
@@ -175,14 +173,9 @@ def sweep_bounded_family(chief, x0, y0, xdot0_list, domain="cartesian"):
     """
     if domain != "cartesian":
         raise ValueError("the family sweep anchors a Cartesian position")
-    st0 = eval_at_theta(chief, chief.theta0)
-    sh = shorthand_abc(chief)
-    r0, vr0, vt0 = st0.r, st0.vr, st0.vt
-    p, n, eta3 = chief.p, chief.n, chief.eta**3
     members = []
     for xd0 in xdot0_list:
-        yd0 = -((p / r0 + 1.0) * (p / r0) * n / eta3 * x0
-                + vr0 / (vt0 * sh.Cq) * y0 + vr0 / vt0 * xd0)
+        yd0 = -drift_constant(chief, [x0, y0, 0.0, xd0, 0.0, 0.0], domain)
         state0 = np.array([x0, y0, 0.0, xd0, yd0, 0.0])
         constants = modal_constants(chief, state0, "cartesian")
         members.append(FamilyMember(xdot0=xd0, ydot0=yd0, state0=state0,

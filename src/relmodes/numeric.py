@@ -54,11 +54,13 @@ class NumericFloquetResult:
 
     def lf_at(self, t):
         """Periodic transform P(t) = Phi(t, t0) exp(-Lambda (t - t0)) for t
-        (scalar or array) within the sampled period, from the dense output
-        of the STM integration; shape t.shape + (6, 6)."""
+        (scalar or array), from the dense output of the STM integration;
+        shape t.shape + (6, 6). P has the sampled span as its period, so a
+        t outside that span is folded back into it."""
+        t0, t1 = self.t_samples[0], self.t_samples[-1]
         t = np.asarray(t, dtype=float)
-        dt = (t - self.t_samples[0])[..., None, None]
-        return self.stm_at(t) @ expm(-self.Lambda * dt)
+        t = np.where((t < t0) | (t > t1), t0 + np.mod(t - t0, t1 - t0), t)
+        return self.stm_at(t) @ expm(-self.Lambda * (t - t0)[..., None, None])
 
     def chain_propagator(self, dt):
         """exp(J dt) in the detected chain basis (block upper triangular)."""

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from relmodes import make_chief
+from relmodes import eval_at_theta, make_chief
+from relmodes.io import chief_from_config
+from relmodes.plants import cartesian_plant_keplerian
 
 
 @pytest.fixture
@@ -21,6 +24,25 @@ def generic_chief():
     configuration (q1 and e*sin(f0) both O(1))."""
     return make_chief(26600.0, 0.74, math.radians(63.4), 0.3,
                       math.radians(215.0), math.radians(40.0))
+
+
+# Epochs with e*sin(f0) = 0, where the eigenvector matrix is singular:
+# the generic orbit at periapsis and at apoapsis, and a circular chief
+SINGULAR_ORBITS = {
+    "f0=0": {"a_km": 26600.0, "e": 0.74, "i_deg": 63.4,
+             "raan_deg": math.degrees(0.3), "argp_deg": 215.0,
+             "f0_deg": 0.0},
+    "f0=pi": {"a_km": 26600.0, "e": 0.74, "i_deg": 63.4,
+              "raan_deg": math.degrees(0.3), "argp_deg": 215.0,
+              "f0_deg": 180.0},
+    "e=0": {"a_km": 7000.0, "e": 0.0, "i_deg": 97.8, "raan_deg": 30.0,
+            "argp_deg": 215.0, "f0_deg": 0.0},
+}
+
+
+@pytest.fixture(params=list(SINGULAR_ORBITS))
+def singular_chief(request):
+    return chief_from_config(SINGULAR_ORBITS[request.param])
 
 
 @pytest.fixture
@@ -42,3 +64,29 @@ def random_chief(rng, e_lo=0.01, e_hi=0.9, avoid_singular=True):
             return chief
         if abs(chief.q1) > 1e-3 and abs(chief.e * math.sin(chief.f0)) > 1e-3:
             return chief
+
+
+def integrate_cartesian(chief, x0, thetas):
+    """Reference LVLH trajectory: the Keplerian Cartesian plant integrated
+    in the argument of latitude by DOP853 at rtol 1e-13, sampled at the
+    increasing thetas (thetas[0] = theta0)."""
+    def rhs(th, x):
+        return (cartesian_plant_keplerian(chief, th).entries @ x
+                / eval_at_theta(chief, th).thetadot)
+
+    sol = solve_ivp(rhs, (thetas[0], thetas[-1]), np.asarray(x0, dtype=float),
+                    method="DOP853", t_eval=thetas, rtol=1e-13, atol=1e-20)
+    assert sol.success, sol.message
+    return sol.y.T
+
+
+def scaled_error(states, ref):
+    """Largest position and velocity deviation, each against the largest
+    position or velocity norm of the reference."""
+    states, ref = np.atleast_2d(states), np.atleast_2d(ref)
+    diff = states - ref
+    return max(
+        np.max(np.linalg.norm(diff[:, :3], axis=1))
+        / np.max(np.linalg.norm(ref[:, :3], axis=1)),
+        np.max(np.linalg.norm(diff[:, 3:], axis=1))
+        / np.max(np.linalg.norm(ref[:, 3:], axis=1)))

@@ -10,16 +10,19 @@ import numpy as np
 import pytest
 
 from relmodes import (cw_modal_decomp, cw_planar_eigvecs, cw_planar_plant,
-                      cw_stm_planar, geo_map, integrate_constants,
-                      is_epoch_singular, lf_defining_residual, lf_qns,
+                      cw_stm_planar, drift_constant, geo_map,
+                      integrate_constants, lf_defining_residual, lf_qns,
                       lf_transform, lti_closed, lti_qns, make_chief,
                       map_lti, modal_constants, mode_trajectory,
                       numeric_modal_decomp, propagate_linear, psi_time_factory,
                       qns_plant_theta, rebase_chief,
                       reconstruct, remap_epoch, stationary_plane,
-                      time_to_theta)
+                      state_transition, time_to_theta)
+from relmodes.io import chief_from_config
 from relmodes.plants import cartesian_plant_keplerian
 from relmodes.twobody import nonlinear_relative_trajectory
+
+from conftest import SINGULAR_ORBITS, integrate_cartesian, scaled_error
 
 TWO_PI = 2.0 * math.pi
 MU = 398600.4418
@@ -215,7 +218,7 @@ def test_criterion_06_printed_numbers():
     # circular-limit drift weight
     chief0 = make_chief(12000.0, 0.0, 1.0, 0.0, 0.0, 0.0)
     x0 = np.array([0.4, -0.2, 0.1, 3e-4, -5e-4, 2e-4])
-    c6 = modal_constants(chief0, x0, "cartesian").c[5]
+    c6 = drift_constant(chief0, x0, "cartesian")
     c6_expect = 2.0 * chief0.n * x0[0] + x0[4]
     c6_err = abs(c6 - c6_expect) / abs(c6_expect)
     ok = zn < 1e-14 and extent_err < 1e-3 and c6_err < 1e-12
@@ -304,13 +307,18 @@ def test_criterion_09_variation_of_constants():
 
 
 def test_criterion_10_singularity_handling():
-    # epoch singularity: e sin f0 = 0 with e > 0
+    # epoch singularity e sin f0 = 0 (f0 = 0, f0 = pi, e = 0): the state
+    # transition never inverts the eigenvector matrix, so it follows an
+    # integration of the plant over one period to rounding
+    x0 = np.array([0.3, -0.5, 0.1, 2e-5, 1e-5, -3e-5])
+    err_a = 0.0
+    for orbit in SINGULAR_ORBITS.values():
+        chief_s = chief_from_config(orbit)
+        ths_s = chief_s.theta0 + np.linspace(0.0, TWO_PI, 121)
+        err_a = max(err_a, scaled_error(
+            state_transition(chief_s, "cartesian", ths_s) @ x0,
+            integrate_cartesian(chief_s, x0, ths_s)))
     chief_a = make_chief(20000.0, 0.5, 1.0, 0.0, 1.0, 0.0)
-    assert is_epoch_singular(chief_a)
-    sys_a = lti_closed(chief_a, "cartesian")
-    flag_a = sys_a.regularized
-    c_a = modal_constants(chief_a, np.array([0.3, -0.2, 0.1, 1e-4, -2e-4,
-                                             1e-4]), "cartesian")
     ths_a = chief_a.theta0 + np.linspace(0.05, TWO_PI - 0.05, 25)
     resid_a = lf_defining_residual(
         lambda th: lf_qns(chief_a, th),
@@ -329,8 +337,9 @@ def test_criterion_10_singularity_handling():
         lambda th: lf_qns(chief_b, th),
         lambda th: qns_plant_theta(chief_b, float(th)),
         lti_qns(chief_b).R, ths_b)
-    ok = (flag_a and c_a.regularized and resid_a < 1e-7
+    ok = (err_a < 1e-12 and resid_a < 1e-7
           and jump_b < 1e-10 and resid_b < 1e-7)
-    report(10, ok, f"e*sin(f0)=0 flagged ({flag_a}), residual {resid_a:.2e} "
+    report(10, ok, f"e*sin(f0)=0 state transition vs integration "
+                   f"{err_a:.2e} (<1e-12 scaled), residual {resid_a:.2e} "
                    f"(<1e-7); q1=0 row jump across q1=+-1e-12 {jump_b:.2e} "
                    f"(<1e-10), residual {resid_b:.2e} (<1e-7)")

@@ -11,6 +11,8 @@ from relmodes.io import (chief_from_config, qns_diff_from_classical,
                          read_trajectory_csv, write_trajectory_csv)
 from relmodes import extract_constants
 
+from conftest import SINGULAR_ORBITS
+
 MOLNIYA_ORBIT = {"a_km": 26600.0, "e": 0.74, "i_deg": 63.4, "raan_deg": 0.0,
                  "argp_deg": 270.0, "f0_deg": 90.0}
 
@@ -67,8 +69,6 @@ class TestModesCommand:
             assert os.path.exists(os.path.join(out, f"mode_{k}.csv"))
         meta = json.load(open(os.path.join(out, "modes_metadata.json")))
         assert meta["eigenvalues"] == [0.0] * 6
-        assert meta["regularized"] is False  # epoch has |A| = 0.74
-        assert meta["warnings"] == []  # q1 = 0 needs no special path
         # out-of-plane modes carry no in-plane motion
         for k in (2, 4):
             _, rows = read_csv_rows(os.path.join(out, f"mode_{k}.csv"))
@@ -240,15 +240,15 @@ class TestValidateCommand:
         assert report["failed"] == 0
         assert all(s.get("passed") for s in report["suites"].values())
 
-    def test_singular_epoch_reports_regularization(self, tmp_path):
+    def test_singular_epoch_all_suites_pass(self, tmp_path, capsys):
         orbit = dict(MOLNIYA_ORBIT, e=0.5, argp_deg=30.0, f0_deg=0.0)
         cfg = write_config(tmp_path, {"orbit": orbit})
         out = str(tmp_path / "out")
         assert main(["validate", "--config", cfg, "--out", out]) == 0
+        assert "validate: 7/7 suites passed" in capsys.readouterr().out
         report = json.load(open(os.path.join(out, "validate_report.json")))
         assert report["failed"] == 0
-        assert any("f0" in w or "e*sin" in w for w in report["warnings"])
-        assert report["suites"]["singularity_handling"]["epoch_singular"]
+        assert report["suites"]["boundedness_dichotomy"]["residual"] < 1e-9
 
     def test_near_circular_cw_limit(self, tmp_path):
         orbit = dict(MOLNIYA_ORBIT, e=1e-4)
@@ -279,9 +279,51 @@ class TestValidateCommand:
         cfg = write_config(tmp_path, {"orbit": orbit})
         out = str(tmp_path / "out")
         assert main(["validate", "--config", cfg, "--out", out]) == 0
-        assert "validate: 8/8 suites passed" in capsys.readouterr().out
+        assert "validate: 7/7 suites passed" in capsys.readouterr().out
         report = json.load(open(os.path.join(out, "validate_report.json")))
         assert report["suites"]["defining_ode_residual"]["residual"] < 1e-7
+
+
+@pytest.mark.parametrize("orbit", SINGULAR_ORBITS.values(),
+                         ids=SINGULAR_ORBITS.keys())
+class TestSingularEpoch:
+    """At e*sin(f0) = 0 the modal weights do not exist: the commands that
+    report them fail with the typed error, the others run."""
+
+    def config(self, tmp_path, orbit):
+        return write_config(tmp_path, {
+            "orbit": orbit, "state0": [0.3, -0.5, 0.1, 2e-5, 1e-5, -3e-5],
+            "x0_km": 0.08, "y0_km": 0.09, "xdot0_list_kmps": [0.0, 2e-5]})
+
+    @pytest.mark.parametrize("command", [["decompose", "--rep", "cart"],
+                                         ["decompose", "--rep", "sph"],
+                                         ["sweep"]], ids=" ".join)
+    def test_weights_raise(self, tmp_path, capsys, orbit, command):
+        cfg = self.config(tmp_path, orbit)
+        assert main([*command, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "near singular" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rep", ["cart", "sph"])
+    def test_modes_run(self, tmp_path, orbit, rep):
+        cfg = self.config(tmp_path, orbit)
+        out = str(tmp_path / "out")
+        assert main(["modes", "--config", cfg, "--rep", rep, "--out", out,
+                     "--periods", "1"]) == 0
+        for k in range(1, 7):
+            _, rows = read_csv_rows(os.path.join(out, f"mode_{k}.csv"))
+            assert np.all(np.isfinite(rows))
+
+    def test_validate_passes(self, tmp_path, capsys, orbit):
+        cfg = self.config(tmp_path, orbit)
+        out = str(tmp_path / "out")
+        assert main(["validate", "--config", cfg, "--out", out]) == 0
+        assert "validate: 7/7 suites passed" in capsys.readouterr().out
+        report = json.load(open(os.path.join(out, "validate_report.json")))
+        assert report["suites"]["boundedness_dichotomy"]["residual"] < 1e-9
+        if orbit["e"] == 0.0:
+            plane = report["suites"]["stationary_plane_orthogonality"]
+            assert "degenerate" in plane
 
 
 def test_unknown_rep_rejected(tmp_path):

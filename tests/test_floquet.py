@@ -3,19 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from relmodes import (SingularConfigError, cw_modal_decomp, cw_planar_eigvecs,
-                      cw_planar_plant, cw_stm_planar, delta_theta_solution,
-                      eigvecs_closed, eval_at_theta, is_epoch_singular,
-                      lf_defining_residual, lf_qns,
-                      lf_transform, lti_cartesian_closed, lti_closed, lti_qns,
-                      lti_spherical_closed, make_chief, map_lti,
-                      modal_constants, propagate_linear,
-                      qns_plant_theta, qns_r21, shorthand_abc, theta_to_time)
+from relmodes import (NearSingularMatrixError, cw_modal_decomp,
+                      cw_planar_eigvecs, cw_planar_plant, cw_stm_planar,
+                      delta_theta_solution, drift_constant, eigvecs_closed,
+                      eval_at_theta, lf_defining_residual, lf_qns,
+                      lf_transform, lti_closed, lti_qns, make_chief, map_lti,
+                      modal_constants, modal_state_matrix, propagate_linear,
+                      qns_plant_theta, qns_r21, shorthand_abc,
+                      state_transition, theta_to_time)
 from relmodes.floquet import balanced_solve, lf_qns_components
 from relmodes.geometry import geo_map
 from relmodes.plants import cartesian_plant_keplerian, qns_plant_time
 
-from conftest import random_chief
+from conftest import integrate_cartesian, random_chief, scaled_error
 
 TWO_PI = 2.0 * math.pi
 
@@ -172,11 +172,10 @@ class TestMapTheorems:
         for _ in range(100):
             chief = random_chief(rng)
             sys = lti_qns(chief)
-            for domain, closed_fn in (("cartesian", lti_cartesian_closed),
-                                      ("spherical", lti_spherical_closed)):
+            for domain in ("cartesian", "spherical"):
                 g0 = geo_map(chief, chief.theta0, domain)
                 mapped = map_lti(g0, sys)
-                closed = closed_fn(chief).R
+                closed = lti_closed(chief, domain).R
                 scale = np.max(np.abs(closed))
                 assert np.max(np.abs(mapped - closed)) < 1e-9 * scale
 
@@ -201,7 +200,7 @@ class TestMapTheorems:
         # by the reduced plant's magnitude (its entries mix units)
         chief = generic_chief
         p = lambda th: lf_transform(chief, "cartesian", th)
-        r_x = lti_cartesian_closed(chief).R
+        r_x = lti_closed(chief, "cartesian").R
 
         def plant_theta(th):
             td = eval_at_theta(chief, float(th)).thetadot
@@ -223,8 +222,8 @@ class TestClosedLti:
             assert scale == pytest.approx(expect, rel=1e-12)
 
     def test_sparsity_and_nilpotency(self, generic_chief):
-        for sys in (lti_cartesian_closed(generic_chief),
-                    lti_spherical_closed(generic_chief)):
+        for sys in (lti_closed(generic_chief, "cartesian"),
+                    lti_closed(generic_chief, "spherical")):
             assert np.all(sys.R[:, 2] == 0.0) and np.all(sys.R[:, 5] == 0.0)
             assert np.all(sys.R[2, :] == 0.0) and np.all(sys.R[5, :] == 0.0)
             assert np.allclose(sys.R @ sys.R, 0.0,
@@ -232,7 +231,7 @@ class TestClosedLti:
 
     def test_small_eccentricity_spectrum(self):
         chief = make_chief(12000.0, 1e-6, 1.0, 0.0, 0.0, math.pi / 2.0)
-        sys = lti_cartesian_closed(chief)
+        sys = lti_closed(chief, "cartesian")
         ev = np.linalg.eigvals(sys.R / np.max(np.abs(sys.R)))
         assert np.max(np.abs(ev)) < 1e-6
 
@@ -240,7 +239,7 @@ class TestClosedLti:
         for _ in range(10):
             chief = random_chief(rng)
             sh = shorthand_abc(chief)
-            sys = lti_spherical_closed(chief)
+            sys = lti_closed(chief, "spherical")
             ga = sh.gamma * chief.a
             alpha = 2.0 * qns_r21(chief) * chief.a / sh.gamma
             r_f = alpha * np.array([
@@ -274,18 +273,40 @@ class TestEigvecs:
         assert np.array_equal(v[:, 3], np.array([0, 0, 0, 0, 0, 1.0]))
 
     def test_molniya_epoch_is_regular(self, molniya):
-        assert not is_epoch_singular(molniya)  # |A| = 0.74
-        v = eigvecs_closed(molniya, "cartesian")
+        v = eigvecs_closed(molniya, "cartesian")  # |A| = 0.74
         assert np.all(np.isfinite(v))
+        balanced_solve(v, np.ones(6))  # passes the conditioning gate
 
-    def test_singular_epoch_raises_or_flags(self):
-        chief = make_chief(12000.0, 0.3, 1.0, 0.0, 1.0, 0.0)  # f0 = 0
-        assert is_epoch_singular(chief)
-        with pytest.raises(SingularConfigError):
-            eigvecs_closed(chief, "cartesian", regularize=False)
-        v = eigvecs_closed(chief, "cartesian", regularize=True)
-        balanced_solve(v, np.ones(6))  # invertible after regularization
-        assert lti_cartesian_closed(chief).regularized
+    def test_singular_epoch_raises(self, singular_chief):
+        # the columns stay finite (modes need only those), but the
+        # weights c1, c3, c5 do not exist
+        x0 = np.array([0.3, -0.5, 0.1, 2e-5, 1e-5, -3e-5])
+        for domain in ("cartesian", "spherical"):
+            assert np.all(np.isfinite(eigvecs_closed(singular_chief, domain)))
+            with pytest.raises(NearSingularMatrixError, match="near singular"):
+                modal_constants(singular_chief, x0, domain)
+
+
+class TestStateTransition:
+    def test_matches_integration(self, generic_chief, molniya):
+        x0 = np.array([0.3, -0.5, 0.1, 2e-5, 1e-5, -3e-5])
+        for chief in (generic_chief, molniya):
+            ths = chief.theta0 + np.linspace(0.0, TWO_PI, 121)
+            err = scaled_error(state_transition(chief, "cartesian", ths) @ x0,
+                               integrate_cartesian(chief, x0, ths))
+            assert err < 1e-12
+
+    def test_matches_modal_solution(self, rng):
+        for _ in range(20):
+            chief = random_chief(rng)
+            ths = chief.theta0 + np.linspace(0.0, 2.0 * TWO_PI, 50)
+            for domain in ("cartesian", "spherical"):
+                x0 = geo_map(chief, chief.theta0, domain).entries @ (
+                    rng.standard_normal(6) * 1e-4)
+                c = modal_constants(chief, x0, domain).c
+                err = scaled_error(state_transition(chief, domain, ths) @ x0,
+                                   modal_state_matrix(chief, domain, ths) @ c)
+                assert err < 1e-9
 
 
 class TestModalConstants:
@@ -315,10 +336,16 @@ class TestModalConstants:
         # no-drift combination 2 n x0 + ydot0 exactly
         chief = make_chief(12000.0, 0.0, 1.0, 0.0, 0.0, 0.0)
         x0 = np.array([0.4, -0.2, 0.1, 3e-4, -5e-4, 2e-4])
-        c = modal_constants(chief, x0, "cartesian")
-        assert c.regularized
         expect = 2.0 * chief.n * x0[0] + x0[4]
-        assert c.c[5] == pytest.approx(expect, rel=1e-12, abs=1e-15)
+        assert drift_constant(chief, x0, "cartesian") == pytest.approx(
+            expect, rel=1e-12, abs=1e-15)
+
+    def test_drift_constant_is_c6(self, generic_chief, rng):
+        for domain in ("cartesian", "spherical"):
+            x0 = rng.standard_normal(6) * np.array(
+                [1.0, 1.0, 1.0, 1e-3, 1e-3, 1e-3])
+            c = modal_constants(generic_chief, x0, domain).c
+            assert drift_constant(generic_chief, x0, domain) == c[5]
 
     def test_spherical_no_drift_iff_same_energy(self, generic_chief):
         doe = np.array([0.0, 2e-4, 1e-4, 1e-4, -2e-4, 1e-4])  # da = 0

@@ -12,8 +12,8 @@ import pytest
 
 from relmodes import (ModalConstants, modal_constants,
                       modal_state_matrix, mode_trajectory,
-                      numeric_modal_decomp, reconstruct, sweep_bounded_family,
-                      theta_to_time, time_to_theta)
+                      numeric_modal_decomp, reconstruct, state_transition,
+                      sweep_bounded_family, theta_to_time, time_to_theta)
 from relmodes.cli import main
 from relmodes.io import STATE_COLUMNS, chief_from_config, write_csv_table
 from relmodes.plants import cartesian_plant_keplerian
@@ -98,9 +98,10 @@ class TestCommandCsvs:
         grid = theta_grid(chief, 3.0)
         times = theta_to_time(chief, grid)
         psi = modal_state_matrix(chief, "cartesian", grid)
+        phi = state_transition(chief, "cartesian", grid)
         self.assert_same(tmp_path, out, "trajectory.csv", lambda p:
                          reference_trajectory(p, "cartesian", grid, times,
-                                              psi @ c, "sum"))
+                                              phi @ STATE0, "sum"))
         for k in range(1, 7):
             self.assert_same(tmp_path, out, f"contribution_mode_{k}.csv",
                              lambda p: reference_trajectory(
@@ -124,13 +125,13 @@ class TestCommandCsvs:
         chief = chief_from_config(GENERIC_ORBIT)
         grid = theta_grid(chief, 3.0)
         members = sweep_bounded_family(chief, 0.2, -0.4, [0.0, 1e-5, -2e-5])
-        psi = modal_state_matrix(chief, "cartesian", grid)
+        phi = state_transition(chief, "cartesian", grid)
         for k, mem in enumerate(members):
             self.assert_same(tmp_path, out, f"family_{k}.csv", lambda p:
                              reference_trajectory(
                                  p, "cartesian", grid,
                                  theta_to_time(chief, grid),
-                                 psi @ mem.constants.c, k))
+                                 phi @ mem.state0, k))
 
     def test_reconstruct(self, tmp_path, generic_config):
         out = self.run(tmp_path, generic_config, "reconstruct", "--rep", "sph")

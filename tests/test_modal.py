@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from relmodes import (cart_sph_linear_at,
+from relmodes import (NearSingularMatrixError, cart_sph_linear_at,
                       constants_dynamics, eval_at_theta, extract_constants,
                       geo_map, integrate_constants, lti_closed, make_chief,
                       modal_constants, modal_state_matrix, mode_trajectory,
@@ -251,6 +251,24 @@ class TestEpochRemap:
         assert abs(c.c[5]) < 1e-14 * np.max(np.abs(c.c))
         c2 = remap_epoch(chief, c, chief.theta0 + 1.3)
         assert abs(c2.c[5]) < 1e-10 * np.max(np.abs(c2.c))
+
+
+    def test_singular_epoch_raises(self, singular_chief):
+        # at e*sin(f0) = 0 no local-coordinate weights exist, whether
+        # solved there or remapped onto that epoch
+        chief = singular_chief
+        x0 = np.array([0.3, -0.5, 0.1, 2e-5, 1e-5, -3e-5])
+        for domain in ("cartesian", "spherical"):
+            with pytest.raises(NearSingularMatrixError):
+                extract_constants(chief, x0, chief.theta0, domain)
+            if chief.e > 0.0:
+                regular = rebase_chief(chief, chief.theta0 + 1.0)
+                c = modal_constants(regular, x0, domain)
+                with pytest.raises(NearSingularMatrixError):
+                    remap_epoch(regular, c, chief.theta0)
+        # the element-difference basis is regular at every epoch
+        assert np.all(np.isfinite(
+            extract_constants(chief, x0, chief.theta0, "qns").c))
 
 
 class TestManeuverLine:

@@ -12,8 +12,11 @@ from relmodes import (MatrixLogError, PeriodicityError, cw_modal_decomp,
                       integrate_stm, lf_from_monodromy, lf_qns, lf_transform,
                       liouville_determinant_check, lti_closed, lti_qns,
                       make_chief, numeric_modal_decomp, qns_plant_theta,
-                      qns_plant_time, qns_r21, real_matrix_log, time_to_theta)
+                      qns_plant_time, qns_r21, real_matrix_log,
+                      state_transition, time_to_theta)
 from relmodes.plants import cartesian_plant_keplerian, cw_planar_plant
+
+from conftest import scaled_error
 
 TWO_PI = 2.0 * math.pi
 
@@ -291,6 +294,20 @@ class TestPipeline:
         got = res.lf_at(mids)
         assert np.max(np.abs(got - pa)) < 1e-7 * np.max(np.abs(pa))
         assert np.array_equal(res.lf_at(mids[7]), got[7])
+
+    def test_reconstruct_beyond_one_period(self, generic_chief):
+        """P is periodic, so times outside the integrated period fold back
+        into it (extrapolating the dense output missed by up to 4e20)."""
+        chief = generic_chief
+        res = numeric_modal_decomp(keplerian_cartesian_plant(chief), 0.0,
+                                   chief.period)
+        x0 = np.array([0.3, -0.5, 0.1, 2e-5, 1e-5, -3e-5])
+        for frac in (1.2, 1.5, -0.3, 2.7):
+            t = frac * chief.period
+            got = res.reconstruct(x0, t)
+            expect = state_transition(chief, "cartesian",
+                                      time_to_theta(chief, t)) @ x0
+            assert scaled_error(got, expect) < 1e-7, frac
 
     def test_aperiodic_content_reported_and_bounded(self, molniya):
         n = molniya.n
