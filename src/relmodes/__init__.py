@@ -15,7 +15,7 @@ from .floquet import (CwModalDecomp, LtiSystem, ModalConstants,
                       drift_constant, eigvecs_closed, lf_defining_residual,
                       lf_qns, lf_transform, lti_closed, lti_qns, map_lti,
                       modal_constants, qns_r21, state_transition)
-from .geometry import (GeoMap, SphState, cart_sph_linear, cart_sph_linear_at,
+from .geometry import (SphState, cart_sph_linear, cart_sph_linear_at,
                        cart_to_sph, g_cartesian, g_inverse, g_spherical,
                        geo_map, sph_to_cart)
 from .modal import (FamilyMember, StationaryPlane,
@@ -32,7 +32,7 @@ from .numeric import (Eigenstructure, NumericFloquetResult,
 from .orbit import (MU_EARTH, ChiefOrbit, OrbitStateAtTheta, Shorthands,
                     eval_at_theta, make_chief, shorthand_abc, theta_to_time,
                     time_to_theta)
-from .plants import (PlantMatrix, cartesian_plant_keplerian, cw_planar_plant,
+from .plants import (cartesian_plant_keplerian, cw_planar_plant,
                      cw_plant_full, cw_stm_planar, gauss_rates,
                      propagate_linear, qns_plant_theta, qns_plant_time)
 from .twobody import (chief_inertial_state, deputy_from_relative,

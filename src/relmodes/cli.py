@@ -12,6 +12,7 @@ import logging
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -30,8 +31,12 @@ from .plants import cartesian_plant_keplerian, cw_plant_full, qns_plant_theta
 log = logging.getLogger("relmodes")
 
 
-def _theta_grid(chief, periods, samples_per_period=240):
-    n = max(int(periods * samples_per_period), 2) + 1
+_SAMPLES_PER_PERIOD = 240
+_QUAD_POINTS = 512
+
+
+def _theta_grid(chief, periods):
+    n = max(int(periods * _SAMPLES_PER_PERIOD), 2) + 1
     return np.linspace(chief.theta0, chief.theta0 + 2.0 * math.pi * periods, n)
 
 
@@ -81,7 +86,7 @@ def _initial_state(cfg, chief, rep):
                          "draan_rad")])
     if rep == "qns":
         return doe
-    return geo_map(chief, chief.theta0, rep).entries @ doe
+    return geo_map(chief, chief.theta0, rep) @ doe
 
 
 def cmd_decompose(args):
@@ -224,9 +229,12 @@ def cmd_floquet_numeric(args):
 
 
 def _suite_quadrature(chief):
-    from scipy.integrate import quad
-    val, _ = quad(lambda th: eval_at_theta(chief, th).r ** 2 / chief.h,
-                  chief.theta0, chief.theta0 + 2.0 * math.pi, limit=200)
+    # T = integral of r^2/h over one revolution; the integrand is periodic
+    # and analytic in theta, so the trapezoid rule on a uniform grid
+    # converges geometrically
+    step = 2.0 * math.pi / _QUAD_POINTS
+    r = eval_at_theta(chief, chief.theta0 + step * np.arange(_QUAD_POINTS)).r
+    val = step * np.sum(r**2) / chief.h
     resid = abs(val - chief.period) / chief.period
     return {"residual": resid, "passed": bool(resid < 1e-9)}
 
@@ -246,21 +254,20 @@ def _suite_shorthands(chief):
 def _suite_defining_ode(chief):
     r_mat = lti_qns(chief).R
     thetas = chief.theta0 + np.linspace(0.1, 2.0 * math.pi - 0.1, 20)
-    resid = lf_defining_residual(lambda th: lf_qns(chief, th),
-                                 lambda th: qns_plant_theta(chief, float(th)),
-                                 r_mat, thetas)
+    resid = lf_defining_residual(partial(lf_qns, chief),
+                                 partial(qns_plant_theta, chief), r_mat, thetas)
     tol = 1e-7
     return {"residual": resid, "tolerance": tol, "passed": bool(resid < tol)}
 
 
 def _suite_lti_mapping(chief):
     g0 = geo_map(chief, chief.theta0, "cartesian")
-    mapped = map_lti(g0, lti_qns(chief))
+    mapped = map_lti(g0, lti_qns(chief).R)
     closed = lti_closed(chief, "cartesian").R
     scale = np.max(np.abs(closed))
     resid = float(np.max(np.abs(mapped - closed)) / scale)
     g0s = geo_map(chief, chief.theta0, "spherical")
-    mapped_s = map_lti(g0s, lti_qns(chief))
+    mapped_s = map_lti(g0s, lti_qns(chief).R)
     closed_s = lti_closed(chief, "spherical").R
     resid_s = float(np.max(np.abs(mapped_s - closed_s)) / np.max(np.abs(closed_s)))
     resid = max(resid, resid_s)
@@ -272,7 +279,7 @@ def _suite_boundedness(chief):
     doe = np.array([0.0, 1e-4, 1e-4, 5e-5, -4e-5, 8e-5]) \
         + 1e-5 * rng.standard_normal(6)
     doe[0] = 0.0  # da = 0: bounded
-    x0 = geo_map(chief, chief.theta0, "cartesian").entries @ doe
+    x0 = geo_map(chief, chief.theta0, "cartesian") @ doe
     phi = state_transition(chief, "cartesian", chief.theta0 + 2.0 * math.pi)
     resid = float(np.linalg.norm(phi @ x0 - x0) / np.linalg.norm(x0))
     tol = 1e-9
@@ -351,39 +358,44 @@ def build_parser():
                     "motion about closed orbits")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, rep=True):
+    shared = {
+        "--rep": {"default": "cart", "choices": sorted(rio.REP_ALIASES),
+                  "help": "state representation"},
+        "--periods": {"type": float, "default": 3.0,
+                      "help": "chief periods to span (drift/trajectory plots)"},
+    }
+
+    def common(p, *flags):
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default="out", help="output directory")
-        if rep:
-            p.add_argument("--rep", default="cart",
-                           choices=sorted(rio.REP_ALIASES),
-                           help="state representation")
-        p.add_argument("--periods", type=float, default=3.0,
-                       help="chief periods to span (drift/trajectory plots)")
-        p.add_argument("--tol", type=float, default=1e-12,
-                       help="numeric tolerance")
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p_modes = sub.add_parser("modes", help="emit the six fundamental modes")
-    common(p_modes)
+    common(p_modes, "--rep", "--periods")
     p_modes.set_defaults(func=cmd_modes)
 
     p_dec = sub.add_parser("decompose",
                            help="modal constants and per-mode contributions")
-    common(p_dec)
+    common(p_dec, "--rep", "--periods")
+    p_dec.add_argument("--tol", type=float, default=1e-12,
+                       help="|c6| above which the state counts as drifting")
     p_dec.set_defaults(func=cmd_decompose)
 
     p_rec = sub.add_parser("reconstruct",
                            help="trajectory from modal constants")
-    common(p_rec)
+    common(p_rec, "--rep", "--periods")
     p_rec.set_defaults(func=cmd_reconstruct)
 
     p_sweep = sub.add_parser("sweep",
                              help="bounded family through a fixed position")
-    common(p_sweep, rep=False)
+    common(p_sweep, "--periods")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_num = sub.add_parser("floquet-num", help="numeric reduction pipeline")
-    common(p_num, rep=False)
+    common(p_num)
+    p_num.add_argument("--tol", type=float, default=1e-12,
+                       help="relative tolerance of the STM integration")
     p_num.add_argument("--plant", default="cartesian-keplerian",
                        choices=["cw", "cartesian-keplerian", "qns"])
     p_num.add_argument("--samples", type=int, default=1024)
@@ -391,7 +403,7 @@ def build_parser():
     p_num.set_defaults(func=cmd_floquet_numeric)
 
     p_val = sub.add_parser("validate", help="run the invariant suites")
-    common(p_val, rep=False)
+    common(p_val)
     p_val.set_defaults(func=cmd_validate)
     return parser
 

@@ -177,7 +177,7 @@ def lti_qns(chief, indep="theta"):
 
 
 def delta_theta_solution(chief, theta, da, dtheta0, dq1, dq2, dt=None):
-    """Closed-form delta-theta history.
+    """Closed-form delta-theta history at a scalar or array theta.
 
     delta_theta = P22 (dtheta0 + R21 n (t - t0) da) + P24 dq1 + P25 dq2,
     with all components evaluated at theta. `dt` may be supplied to avoid
@@ -187,24 +187,17 @@ def delta_theta_solution(chief, theta, da, dtheta0, dq1, dq2, dt=None):
         dt = theta_to_time(chief, theta)
     _, p22, p24, p25 = lf_qns_components(chief, theta, indep="time")
     drift = qns_r21(chief) * chief.n * dt
-    return float(p22 * (dtheta0 + drift * da) + p24 * dq1 + p25 * dq2)
+    return p22 * (dtheta0 + drift * da) + p24 * dq1 + p25 * dq2
 
 
 # ---------------------------------------------------------------------------
 # change-of-basis theorems
 # ---------------------------------------------------------------------------
 
-def _entries(mat_like):
-    entries = getattr(mat_like, "entries", mat_like)
-    return np.asarray(entries, dtype=float)
-
-
-def map_lti(g0, r_src):
-    """Similarity transform of a reduced constant plant through the
-    element-difference map at the epoch."""
-    g = _entries(g0)
-    r = r_src.R if isinstance(r_src, LtiSystem) else np.asarray(r_src)
-    return g @ r @ g_inverse(g)
+def map_lti(g0, r):
+    """Similarity transform G(theta0) R G(theta0)^-1 of a reduced constant
+    plant through the element-difference map at the epoch."""
+    return g0 @ r @ g_inverse(g0)
 
 
 def lf_transform(chief, domain, theta, indep="theta"):
@@ -247,7 +240,7 @@ def _to_local(chief, domain, theta, m):
     if domain == "qns":
         return m
     g0_inv = g_inverse(geo_map(chief, chief.theta0, domain))
-    return geo_map(chief, theta, domain).entries @ m @ g0_inv
+    return geo_map(chief, theta, domain) @ m @ g0_inv
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +546,8 @@ def lf_defining_residual(p_fn, plant_theta_fn, r_mat, theta_samples):
     """Max-norm residual of P^-1 (A~ P - P') - R over the sampled thetas.
     A~ must be the theta-domain plant.
 
-    p_fn must accept an array of complex thetas. P' is the complex-step
+    p_fn must accept an array of complex thetas and plant_theta_fn an array
+    of real ones; each returns the stack of matrices. P' is the complex-step
     derivative Im P(theta + ih)/h: it takes no difference, so it is exact
     to rounding in float64 for any h small enough that the O(h^2) term
     vanishes.
@@ -561,6 +555,5 @@ def lf_defining_residual(p_fn, plant_theta_fn, r_mat, theta_samples):
     thetas = np.atleast_1d(np.asarray(theta_samples, dtype=float))
     pc = p_fn(thetas + _CSTEP * 1j)
     p, dp = pc.real, pc.imag / _CSTEP
-    a = np.array([_entries(plant_theta_fn(th)) for th in thetas])
-    res = np.linalg.solve(p, a @ p - dp - p @ r_mat)
+    res = np.linalg.solve(p, plant_theta_fn(thetas) @ p - dp - p @ r_mat)
     return float(np.max(np.abs(res)))

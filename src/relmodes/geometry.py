@@ -19,15 +19,6 @@ _COND_MAX = 1e12
 
 
 @dataclass(frozen=True)
-class GeoMap:
-    """Element-difference -> local-state map evaluated at theta."""
-
-    entries: np.ndarray   # theta.shape + (6, 6)
-    theta: object         # scalar or array
-    target: str  # "cartesian" | "spherical"
-
-
-@dataclass(frozen=True)
 class SphState:
     """Local spherical relative state."""
 
@@ -43,19 +34,6 @@ class SphState:
                          self.drdot, self.theta_r_dot, self.phi_r_dot])
 
 
-def _orbit_scalars(chief, theta):
-    """r, vr, vt, thetadot and trig values at theta (array or complex)."""
-    q1, q2 = chief.q1, chief.q2
-    ct, s_t = np.cos(theta), np.sin(theta)
-    kappa = 1.0 + q1 * ct + q2 * s_t
-    p = chief.a * (1.0 - q1 * q1 - q2 * q2)
-    h = math.sqrt(chief.mu * p)
-    r = p / kappa
-    vr = (h / p) * (q1 * s_t - q2 * ct)
-    vt = h / r
-    return r, vr, vt, h / r**2, ct, s_t
-
-
 def _assemble(rows, theta):
     """Stack a 6x6 nested list of entries, each a scalar or an array over
     theta, into an array of shape theta.shape + (6, 6)."""
@@ -69,15 +47,16 @@ def _assemble(rows, theta):
 def g_cartesian(chief, theta):
     """Map from element differences to the LVLH Cartesian state.
 
-    theta may be a scalar or an array, real or complex; the entries have
+    theta may be a scalar or an array, real or complex; the result has
     shape theta.shape + (6, 6).
     """
     theta = np.asarray(theta)
-    r, vr, vt, _, ct, s_t = _orbit_scalars(chief, theta)
+    st = eval_at_theta(chief, theta)
+    r, vr, vt, ct, s_t = st.r, st.vr, st.vt, st.cos, st.sin
     a, p, h = chief.a, chief.p, chief.h
     q1, q2 = chief.q1, chief.q2
     ci, si = math.cos(chief.inc), math.sin(chief.inc)
-    g = _assemble([
+    return _assemble([
         [r / a, vr / vt * r, 0.0,
          -r / p * (2.0 * a * q1 + r * ct), -r / p * (2.0 * a * q2 + r * s_t), 0.0],
         [0.0, r, 0.0, 0.0, 0.0, r * ci],
@@ -89,7 +68,6 @@ def g_cartesian(chief, theta):
          (3.0 * vt * a * q2 + 2.0 * h * s_t) / p, vr * ci],
         [0.0, 0.0, vt * ct + vr * s_t, 0.0, 0.0, (vt * s_t - vr * ct) * si],
     ], theta)
-    return GeoMap(entries=g, theta=theta, target="cartesian")
 
 
 def g_spherical(chief, theta):
@@ -97,14 +75,16 @@ def g_spherical(chief, theta):
 
     Rows 1 and 4 are identical to the Cartesian map; the angular rows
     carry dimensionless angles and angle rates. theta may be a scalar or
-    an array, real or complex.
+    an array, real or complex; the result has shape theta.shape + (6, 6).
     """
     theta = np.asarray(theta)
-    r, vr, vt, td, ct, s_t = _orbit_scalars(chief, theta)
+    st = eval_at_theta(chief, theta)
+    r, vr, vt, td = st.r, st.vr, st.vt, st.thetadot
+    ct, s_t = st.cos, st.sin
     a, p, h = chief.a, chief.p, chief.h
     q1, q2 = chief.q1, chief.q2
     ci, si = math.cos(chief.inc), math.sin(chief.inc)
-    g = _assemble([
+    return _assemble([
         [r / a, vr / vt * r, 0.0,
          -r / p * (2.0 * a * q1 + r * ct), -r / p * (2.0 * a * q2 + r * s_t), 0.0],
         [0.0, 1.0, 0.0, 0.0, 0.0, ci],
@@ -116,10 +96,10 @@ def g_spherical(chief, theta):
          td / p * (3.0 * a * q2 + 2.0 * r * s_t), 0.0],
         [0.0, 0.0, td * ct, 0.0, 0.0, td * s_t * si],
     ], theta)
-    return GeoMap(entries=g, theta=theta, target="spherical")
 
 
 def geo_map(chief, theta, target):
+    """g_cartesian or g_spherical by target name."""
     if target == "cartesian":
         return g_cartesian(chief, theta)
     if target == "spherical":
@@ -148,15 +128,15 @@ def equilibrated_cond(mat):
     return np.linalg.cond(_equilibrate(mat)[0])
 
 
-def g_inverse(gmap):
-    """Numeric inverse of a GeoMap, rejecting near-singular maps.
+def g_inverse(g):
+    """Numeric inverse of one element-difference map, rejecting
+    near-singular maps.
 
     Inverts the row/column-equilibrated matrix so the mixed units do not
     degrade the factorization, then undoes the scaling.
     """
-    entries = gmap.entries if isinstance(gmap, GeoMap) else gmap
-    entries = np.asarray(entries, dtype=float)
-    scaled, r, c = _equilibrate(entries)
+    g = np.asarray(g, dtype=float)
+    scaled, r, c = _equilibrate(g)
     cond = np.linalg.cond(scaled)
     if not np.isfinite(cond) or cond > _COND_MAX:
         raise NearSingularMatrixError(
@@ -166,7 +146,7 @@ def g_inverse(gmap):
     inv = (np.linalg.inv(scaled) / r[None, :]) / c[:, None]
     # one step of iterative refinement: the periodic transforms built on
     # this inverse must return identity at the epoch to ~1e-12
-    inv = inv + inv @ (np.eye(entries.shape[0]) - entries @ inv)
+    inv = inv + inv @ (np.eye(g.shape[0]) - g @ inv)
     return inv
 
 

@@ -188,6 +188,7 @@ def sweep_bounded_family(chief, x0, y0, xdot0_list, domain="cartesian"):
 # ---------------------------------------------------------------------------
 
 _B_CART = np.vstack([np.zeros((3, 3)), np.eye(3)])
+_RTOL, _ATOL = 1e-12, 1e-14  # integrate_constants
 
 
 def psi_time_factory(chief, domain):
@@ -210,7 +211,7 @@ def psi_time_factory(chief, domain):
         m[:, 5] += n * t * v[:, 4]
         out = lf_qns(chief, theta, indep="time") @ m
         if domain != "qns":
-            out = geo_map(chief, theta, domain).entries @ out
+            out = geo_map(chief, theta, domain) @ out
         return out
 
     return psi
@@ -233,7 +234,7 @@ def constants_dynamics(psi_mat, state, control=None, extra_fn=None):
 
 
 def integrate_constants(chief, domain, c0, t_grid, control_fn=None,
-                        extra_fn=None, rtol=1e-12, atol=1e-14):
+                        extra_fn=None):
     """Integrate the variation of the constants over t_grid.
 
     control_fn(t, x) returns the LVLH control acceleration (km/s^2);
@@ -253,7 +254,7 @@ def integrate_constants(chief, domain, c0, t_grid, control_fn=None,
         return np.linalg.solve(m, vec)
 
     sol = solve_ivp(rhs, (t_grid[0], t_grid[-1]), np.asarray(c0, dtype=float),
-                    method="DOP853", t_eval=t_grid, rtol=rtol, atol=atol)
+                    method="DOP853", t_eval=t_grid, rtol=_RTOL, atol=_ATOL)
     if not sol.success:
         raise IntegrationError(f"constants integration failed: {sol.message}")
     return sol.y.T

@@ -19,13 +19,14 @@ from scipy.linalg import expm, logm, matrix_balance
 from scipy.optimize import minimize_scalar
 
 from .errors import IntegrationError, MatrixLogError, PeriodicityError
-from .plants import plant_entries
 
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-13
 
 _NILPOTENT_TOL = 1e-6
 _EXP_CHECK_TOL = 1e-8
+_CLUSTER_TOL = 1e-6  # eigenvalue merge distance over the balanced norm
+_PERIOD_SCAN = 64    # coarse grid points of find_period
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,7 @@ class NumericFloquetResult:
         return np.real(self.lf_at(t) @ chi)
 
 
-def integrate_stm(plant_fn, t0, period, tol=DEFAULT_RTOL, n_samples=None,
-                  atol=DEFAULT_ATOL):
+def integrate_stm(plant_fn, t0, period, tol=DEFAULT_RTOL, n_samples=None):
     """Integrate the variational equation Phi' = A(t) Phi over one period.
 
     Returns (monodromy, t_samples, stm_samples, stm_at); with
@@ -105,14 +105,15 @@ def integrate_stm(plant_fn, t0, period, tol=DEFAULT_RTOL, n_samples=None,
         t_grid = np.array([t0, t0 + period])
     else:
         t_grid = np.linspace(t0, t0 + period, n_samples)
-    dim = plant_entries(plant_fn(t0)).shape[0]
+    dim = np.shape(plant_fn(t0))[0]
     y0 = np.eye(dim).reshape(-1)
 
     def rhs(t, y):
-        return (plant_entries(plant_fn(t)) @ y.reshape(dim, dim)).reshape(-1)
+        return (plant_fn(t) @ y.reshape(dim, dim)).reshape(-1)
 
     sol = solve_ivp(rhs, (t0, t0 + period), y0, method="DOP853",
-                    t_eval=t_grid, rtol=tol, atol=atol, dense_output=True)
+                    t_eval=t_grid, rtol=tol, atol=DEFAULT_ATOL,
+                    dense_output=True)
     if not sol.success:
         raise IntegrationError(f"STM integration failed: {sol.message}")
     samples = sol.y.T.reshape(-1, dim, dim)
@@ -125,20 +126,20 @@ def integrate_stm(plant_fn, t0, period, tol=DEFAULT_RTOL, n_samples=None,
     return samples[-1], t_grid, samples, stm_at
 
 
-def _nilpotent_index(n_mat, tol=_NILPOTENT_TOL):
-    """Smallest k with ||N^k|| <= tol * ||N||^k, or None."""
+def _nilpotent_index(n_mat):
+    """Smallest k with ||N^k|| <= _NILPOTENT_TOL ||N||^k, or None."""
     norm1 = np.linalg.norm(n_mat)
     if norm1 == 0.0:
         return 1
     power = n_mat
     for k in range(2, n_mat.shape[0] + 2):
         power = power @ n_mat
-        if np.linalg.norm(power) <= tol * norm1**k:
+        if np.linalg.norm(power) <= _NILPOTENT_TOL * norm1**k:
             return k
     return None
 
 
-def real_matrix_log(m, period=1.0, nilpotent_tol=_NILPOTENT_TOL):
+def real_matrix_log(m, period=1.0):
     """Real logarithm of a monodromy matrix, scaled by 1/period.
 
     Unipotent matrices (all eigenvalues 1, M - I numerically nilpotent)
@@ -155,7 +156,7 @@ def real_matrix_log(m, period=1.0, nilpotent_tol=_NILPOTENT_TOL):
 
     n_mat = m - np.eye(m.shape[0])
     unipotent = np.all(np.abs(eigs - 1.0) <= 0.5)
-    k = _nilpotent_index(n_mat, nilpotent_tol) if unipotent else None
+    k = _nilpotent_index(n_mat) if unipotent else None
     if k is not None:
         log_m = np.zeros_like(m)
         power = np.eye(m.shape[0])
@@ -240,21 +241,22 @@ def fourier_periodic_fit(values, t0, period, n_harmonics):
     return fit, residual
 
 
-def find_period(plant_fn, t0, bracket, n_scan=64):
+def find_period(plant_fn, t0, bracket):
     """Period estimate minimizing ||A(t0) - A(t0+T)|| over a bracketed T.
 
-    Coarse scan of the bracket followed by golden-section refinement.
+    Coarse 64-point scan of the bracket followed by golden-section
+    refinement.
     """
-    a0 = plant_entries(plant_fn(t0))
+    a0 = plant_fn(t0)
 
     def objective(T):
-        return float(np.linalg.norm(plant_entries(plant_fn(t0 + T)) - a0))
+        return float(np.linalg.norm(plant_fn(t0 + T) - a0))
 
     lo, hi = bracket
-    ts = np.linspace(lo, hi, n_scan)
+    ts = np.linspace(lo, hi, _PERIOD_SCAN)
     vals = [objective(t) for t in ts]
     j = int(np.argmin(vals))
-    jl, jr = max(j - 1, 0), min(j + 1, n_scan - 1)
+    jl, jr = max(j - 1, 0), min(j + 1, _PERIOD_SCAN - 1)
     if jl == j or jr == j or not (vals[j] < vals[jl] and vals[j] < vals[jr]):
         return float(ts[j])
     res = minimize_scalar(objective, bracket=(ts[jl], ts[j], ts[jr]),
@@ -278,23 +280,21 @@ def _null_space(mat, tol, max_dim=None):
     return vh[rank:].conj().T
 
 
-def detect_eigenstructure(lam, cluster_tol=None):
+def detect_eigenstructure(lam):
     """Eigenvalues of a real matrix with repeated/defective eigenvalues
     clustered and resolved into Jordan chains.
 
     The matrix is diagonally balanced first (mixed physical units
     otherwise swamp the rank decisions), eigenvalues closer than
-    cluster_tol (default 1e-6 * ||balanced||) are merged to their mean,
-    and chains come from the null spaces of increasing powers of
-    (Lambda - lambda I), ranks by SVD. Eigenvectors are mapped back to
-    the original scaling.
+    1e-6 * ||balanced|| are merged to their mean, and chains come from
+    the null spaces of increasing powers of (Lambda - lambda I), ranks by
+    SVD. Eigenvectors are mapped back to the original scaling.
     """
     lam = np.asarray(lam, dtype=float)
     n = lam.shape[0]
     bal, t_bal = matrix_balance(lam)  # lam = t_bal @ bal @ inv(t_bal)
     scale = max(np.linalg.norm(bal), 1e-300)
-    if cluster_tol is None:
-        cluster_tol = 1e-6 * scale
+    cluster_tol = _CLUSTER_TOL * scale
     raw = np.linalg.eigvals(bal)
     raw = raw[np.lexsort((np.imag(raw), np.real(raw)))]
     clusters = []
@@ -373,7 +373,7 @@ def _complement_basis(space, exclude):
 
 def numeric_modal_decomp(plant_fn, t0, period, n_harmonics=32,
                          n_samples=1024, tol=DEFAULT_RTOL,
-                         max_fit_residual=0.1, use_fit=None):
+                         max_fit_residual=0.1):
     """Full pipeline: periodicity assessment (Fourier fit of the sampled
     plant), STM over one period, real logarithm of the monodromy,
     periodic transform samples, and the eigenstructure of the reduced
@@ -383,18 +383,16 @@ def numeric_modal_decomp(plant_fn, t0, period, n_harmonics=32,
     is purely diagnostic; near-periodic plants are replaced by their
     periodic trigonometric fit, whose leftover is the discarded
     aperiodic content (must stay under max_fit_residual of the plant
-    scale). `use_fit` forces the choice.
+    scale). plant_fn is called on one scalar t at a time.
     """
     grid = t0 + period * np.arange(n_samples) / n_samples
-    values = np.array([plant_entries(plant_fn(t)) for t in grid])
+    values = np.array([plant_fn(t) for t in grid], dtype=float)
     fit, residual = fourier_periodic_fit(values, t0, period, n_harmonics)
     scale = max(float(np.max(np.abs(values))), 1e-300)
-    if use_fit is None:
-        # periodicity test: does the plant return to its initial value
-        # after one period?
-        wrap = float(np.max(np.abs(plant_entries(plant_fn(t0 + period))
-                                   - values[0])))
-        use_fit = wrap > 1e-9 * scale
+    # periodicity test: does the plant return to its initial value after
+    # one period?
+    wrap = float(np.max(np.abs(plant_fn(t0 + period) - values[0])))
+    use_fit = wrap > 1e-9 * scale
     if use_fit and residual > max_fit_residual * scale:
         raise PeriodicityError(
             f"plant is too aperiodic for a periodic reduction: residual "
@@ -415,8 +413,7 @@ def numeric_modal_decomp(plant_fn, t0, period, n_harmonics=32,
 
 
 def delta_p_correction(a0_fn, p0_fn, lambda0, delta_a_fn, t0, period,
-                       delta_lambda=None, n_samples=257, rtol=DEFAULT_RTOL,
-                       atol=DEFAULT_ATOL):
+                       delta_lambda=None, n_samples=257):
     """First-order correction of the periodic transform under a plant
     deviation: integrates
 
@@ -433,14 +430,13 @@ def delta_p_correction(a0_fn, p0_fn, lambda0, delta_a_fn, t0, period,
 
     def rhs(t, y):
         dp = y.reshape(dim, dim)
-        a0 = plant_entries(a0_fn(t))
-        p0 = np.asarray(p0_fn(t))
-        da = np.asarray(delta_a_fn(t))
-        ddp = -dp @ lambda0 + a0 @ dp - p0 @ dl + da @ p0
+        p0 = p0_fn(t)
+        ddp = -dp @ lambda0 + a0_fn(t) @ dp - p0 @ dl + delta_a_fn(t) @ p0
         return ddp.reshape(-1)
 
     sol = solve_ivp(rhs, (t0, t0 + period), np.zeros(dim * dim),
-                    method="DOP853", t_eval=t_grid, rtol=rtol, atol=atol)
+                    method="DOP853", t_eval=t_grid, rtol=DEFAULT_RTOL,
+                    atol=DEFAULT_ATOL)
     if not sol.success:
         raise IntegrationError(f"correction ODE failed: {sol.message}")
     samples = sol.y.T.reshape(-1, dim, dim)
@@ -452,7 +448,7 @@ def liouville_determinant_check(plant_fn, t0, period, monodromy):
     """Relative mismatch of det(monodromy) against exp of the integrated
     plant trace (quadrature oracle)."""
     from scipy.integrate import quad
-    tr, _ = quad(lambda t: float(np.trace(plant_entries(plant_fn(t)))),
+    tr, _ = quad(lambda t: float(np.trace(plant_fn(t))),
                  t0, t0 + period, limit=200)
     expected = math.exp(tr)
     return abs(np.linalg.det(monodromy) - expected) / abs(expected)

@@ -14,6 +14,7 @@ All angles are radians, lengths km, gravitational parameter km^3/s^2.
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,28 +108,33 @@ class ChiefOrbit:
         return 2.0 * math.pi / self.n
 
     def kappa(self, theta):
-        return 1.0 + self.q1 * math.cos(theta) + self.q2 * math.sin(theta)
+        """p / r at theta (scalar or array, real or complex)."""
+        return eval_at_theta(self, theta).kappa
 
-    @property
+    @cached_property
     def kappa0(self):
         return self.kappa(self.theta0)
 
-    @property
+    @cached_property
     def r0(self):
         """Chief radius at the epoch (km)."""
         return self.p / self.kappa0
 
 
-@dataclass(frozen=True)
-class OrbitStateAtTheta:
-    """Chief scalars evaluated at one argument of latitude."""
+class OrbitStateAtTheta(NamedTuple):
+    """Chief scalars at the argument(s) of latitude theta; each field has
+    theta's shape. It is built on every plant call inside ODE right-hand
+    sides, and a named tuple builds in half the time of a frozen
+    dataclass."""
 
-    theta: float
-    kappa: float
-    r: float        # km
-    vr: float       # km/s, radial velocity rdot
-    vt: float       # km/s, transverse velocity r*thetadot
-    thetadot: float  # rad/s
+    theta: object
+    cos: object       # cos(theta)
+    sin: object       # sin(theta)
+    kappa: object     # p / r
+    r: object         # km
+    vr: object        # km/s, radial velocity rdot
+    vt: object        # km/s, transverse velocity r*thetadot
+    thetadot: object  # rad/s
 
 
 @dataclass(frozen=True)
@@ -176,13 +182,16 @@ def make_chief(a, e, inc, raan, argp, f0, mu=MU_EARTH):
 
 
 def eval_at_theta(chief, theta):
-    """Evaluate chief radius, velocities and latitude rate at theta."""
-    kappa = chief.kappa(theta)
+    """Evaluate chief radius, velocities and latitude rate at theta, a
+    scalar or an array, real or complex."""
+    ct, st = np.cos(theta), np.sin(theta)
+    kappa = 1.0 + chief.q1 * ct + chief.q2 * st
     r = chief.p / kappa
-    vr = (chief.h / chief.p) * (chief.q1 * math.sin(theta) - chief.q2 * math.cos(theta))
+    vr = (chief.h / chief.p) * (chief.q1 * st - chief.q2 * ct)
     vt = chief.h / r
     return OrbitStateAtTheta(
-        theta=theta, kappa=kappa, r=r, vr=vr, vt=vt, thetadot=chief.h / r**2
+        theta=theta, cos=ct, sin=st, kappa=kappa, r=r, vr=vr, vt=vt,
+        thetadot=chief.h / r**2,
     )
 
 

@@ -13,7 +13,6 @@ callable) with an adaptive high-order Runge-Kutta scheme.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -25,21 +24,6 @@ DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-14
 
 _SIN_I_MIN = 1e-9
-
-
-@dataclass(frozen=True)
-class PlantMatrix:
-    """A plant matrix together with its independent-variable tag."""
-
-    entries: np.ndarray
-    indep_var: str  # "time" | "argument-of-latitude"
-
-
-def plant_entries(plant):
-    """Accept a PlantMatrix or a bare array and return the ndarray."""
-    if isinstance(plant, PlantMatrix):
-        return plant.entries
-    return np.asarray(plant, dtype=float)
 
 
 def cw_planar_plant(n):
@@ -87,29 +71,28 @@ def cw_plant_full(n):
 
 
 def qns_plant_theta(chief, theta):
-    """Element-difference plant in the theta domain.
+    """Element-difference plant in the theta domain, for a scalar or array
+    theta; shape theta.shape + (6, 6).
 
     Only the delta-theta row is nonzero; it is the Jacobian of the
     latitude rate with respect to (a, theta, q1, q2), divided by thetadot.
     """
-    kappa = chief.kappa(theta)
+    state = eval_at_theta(chief, theta)
+    kappa, ct, st = state.kappa, state.cos, state.sin
     eta2 = chief.eta**2
-    ct = math.cos(theta)
-    st = math.sin(theta)
-    a = np.zeros((6, 6))
-    a[1, 0] = -1.5 / chief.a
-    a[1, 1] = 2.0 * (chief.q2 * ct - chief.q1 * st) / kappa
-    a[1, 3] = 3.0 * chief.q1 / eta2 + 2.0 * ct / kappa
-    a[1, 4] = 3.0 * chief.q2 / eta2 + 2.0 * st / kappa
-    return PlantMatrix(entries=a, indep_var="argument-of-latitude")
+    a = np.zeros(kappa.shape + (6, 6))  # kappa has theta's shape
+    a[..., 1, 0] = -1.5 / chief.a
+    a[..., 1, 1] = 2.0 * (chief.q2 * ct - chief.q1 * st) / kappa
+    a[..., 1, 3] = 3.0 * chief.q1 / eta2 + 2.0 * ct / kappa
+    a[..., 1, 4] = 3.0 * chief.q2 / eta2 + 2.0 * st / kappa
+    return a
 
 
 def qns_plant_time(chief, theta):
     """Element-difference plant with time as independent variable:
-    thetadot times the theta-domain plant."""
-    tilde = qns_plant_theta(chief, theta).entries
+    thetadot times the theta-domain plant, for a scalar or array theta."""
     thetadot = eval_at_theta(chief, theta).thetadot
-    return PlantMatrix(entries=thetadot * tilde, indep_var="time")
+    return thetadot[..., None, None] * qns_plant_theta(chief, theta)
 
 
 def gauss_rates(chief, theta, accel):
@@ -157,31 +140,32 @@ def cartesian_plant_keplerian(chief, theta):
     State (x, y, z, xdot, ydot, zdot); time is the independent variable.
     The frame rotates at thetadot about e_n with angular acceleration
     -2 vr thetadot / r, and the gravity gradient is (mu/r^3) diag(2,-1,-1).
+    theta may be a scalar or an array; shape theta.shape + (6, 6).
     """
     state = eval_at_theta(chief, theta)
     r = state.r
     td = state.thetadot
     tdd = -2.0 * state.vr * td / r
     mu_r3 = chief.mu / r**3
-    a = np.zeros((6, 6))
-    a[0:3, 3:6] = np.eye(3)
-    a[3, 0] = td * td + 2.0 * mu_r3
-    a[3, 1] = tdd
-    a[4, 0] = -tdd
-    a[4, 1] = td * td - mu_r3
-    a[5, 2] = -mu_r3
-    a[3, 4] = 2.0 * td
-    a[4, 3] = -2.0 * td
-    return PlantMatrix(entries=a, indep_var="time")
+    a = np.zeros(r.shape + (6, 6))  # r has theta's shape
+    a[..., 0, 3] = a[..., 1, 4] = a[..., 2, 5] = 1.0
+    a[..., 3, 0] = td * td + 2.0 * mu_r3
+    a[..., 3, 1] = tdd
+    a[..., 4, 0] = -tdd
+    a[..., 4, 1] = td * td - mu_r3
+    a[..., 5, 2] = -mu_r3
+    a[..., 3, 4] = 2.0 * td
+    a[..., 4, 3] = -2.0 * td
+    return a
 
 
 def propagate_linear(plant_fn, state0, span, steps, rtol=DEFAULT_RTOL,
-                     atol=DEFAULT_ATOL, method="DOP853"):
-    """Propagate xdot = A(s) x over span = (s0, s1) and return the solution
-    on a uniform grid of `steps` points (endpoints included).
+                     atol=DEFAULT_ATOL):
+    """Propagate xdot = A(s) x over span = (s0, s1) with DOP853 and return
+    the solution on a uniform grid of `steps` points (endpoints included).
 
-    `plant_fn` maps the independent variable to a PlantMatrix or ndarray;
-    whether s is time or argument of latitude is the caller's convention.
+    `plant_fn` maps the independent variable to the plant matrix; whether
+    s is time or argument of latitude is the caller's convention.
 
     Returns
     -------
@@ -197,9 +181,9 @@ def propagate_linear(plant_fn, state0, span, steps, rtol=DEFAULT_RTOL,
     grid = np.linspace(s0, s1, steps)
 
     def rhs(s, x):
-        return plant_entries(plant_fn(s)) @ x
+        return plant_fn(s) @ x
 
-    sol = solve_ivp(rhs, (s0, s1), x0, method=method, t_eval=grid,
+    sol = solve_ivp(rhs, (s0, s1), x0, method="DOP853", t_eval=grid,
                     rtol=rtol, atol=atol)
     if not sol.success:
         raise IntegrationError(f"linear propagation failed: {sol.message}")

@@ -13,6 +13,8 @@ from scipy.integrate import solve_ivp
 from .errors import IntegrationError
 from .orbit import eval_at_theta
 
+_RTOL = _ATOL = 1e-12  # DOP853 tolerances of the two-body oracle
+
 
 def chief_inertial_state(chief, theta):
     """Inertial position and velocity (km, km/s) of the chief at theta."""
@@ -67,7 +69,7 @@ def deputy_from_relative(chief_rv, rel_state):
     return r_d, v_d
 
 
-def propagate_twobody(rv0, mu, t_grid, accel_fn=None, rtol=1e-12, atol=1e-12):
+def propagate_twobody(rv0, mu, t_grid, accel_fn=None):
     """Propagate inertial two-body dynamics (optionally with an extra
     inertial acceleration accel_fn(t, r, v) km/s^2) to the given times.
 
@@ -84,7 +86,7 @@ def propagate_twobody(rv0, mu, t_grid, accel_fn=None, rtol=1e-12, atol=1e-12):
         return np.concatenate([y[3:], acc])
 
     sol = solve_ivp(rhs, (t_grid[0], t_grid[-1]), y0, method="DOP853",
-                    t_eval=t_grid, rtol=rtol, atol=atol)
+                    t_eval=t_grid, rtol=_RTOL, atol=_ATOL)
     if not sol.success:
         raise IntegrationError(f"two-body propagation failed: {sol.message}")
     return sol.y.T
@@ -134,8 +136,7 @@ def nonlinear_relative_rate(chief, theta, rel_state):
     return np.concatenate([rho_dot, rho_ddot])
 
 
-def nonlinear_relative_trajectory(chief, rel_state0, t_grid, rtol=1e-12,
-                                  atol=1e-12):
+def nonlinear_relative_trajectory(chief, rel_state0, t_grid):
     """Difference-of-two-propagations oracle.
 
     Builds the deputy inertial state from an LVLH relative state at the
@@ -145,10 +146,8 @@ def nonlinear_relative_trajectory(chief, rel_state0, t_grid, rtol=1e-12,
     """
     chief_rv0 = chief_inertial_state(chief, chief.theta0)
     dep_rv0 = deputy_from_relative(chief_rv0, rel_state0)
-    chief_traj = propagate_twobody(chief_rv0, chief.mu, t_grid, rtol=rtol,
-                                   atol=atol)
-    dep_traj = propagate_twobody(dep_rv0, chief.mu, t_grid, rtol=rtol,
-                                 atol=atol)
+    chief_traj = propagate_twobody(chief_rv0, chief.mu, t_grid)
+    dep_traj = propagate_twobody(dep_rv0, chief.mu, t_grid)
     out = np.empty((len(t_grid), 6))
     for j in range(len(t_grid)):
         out[j] = relative_state_lvlh(

@@ -71,7 +71,7 @@ def integrate_cartesian(chief, x0, thetas):
     in the argument of latitude by DOP853 at rtol 1e-13, sampled at the
     increasing thetas (thetas[0] = theta0)."""
     def rhs(th, x):
-        return (cartesian_plant_keplerian(chief, th).entries @ x
+        return (cartesian_plant_keplerian(chief, th) @ x
                 / eval_at_theta(chief, th).thetadot)
 
     sol = solve_ivp(rhs, (thetas[0], thetas[-1]), np.asarray(x0, dtype=float),
@@ -90,3 +90,21 @@ def scaled_error(states, ref):
         / np.max(np.linalg.norm(ref[:, :3], axis=1)),
         np.max(np.linalg.norm(diff[:, 3:], axis=1))
         / np.max(np.linalg.norm(ref[:, 3:], axis=1)))
+
+
+def batch_grid(chief, shift=0.0):
+    """721 thetas over three revolutions from theta0; a complex shift
+    moves them off the real axis."""
+    return chief.theta0 + np.linspace(0.0, 6.0 * math.pi, 721) + shift
+
+
+def batch_vs_scalar_error(fn, grid):
+    """Largest difference between fn on the whole grid and the stack of fn
+    on each of its Python scalars, each component along axis 1 (a state
+    component, or a field) scaled by its largest magnitude on the grid."""
+    batch = fn(grid)
+    stack = np.array([fn(th) for th in grid.tolist()])
+    assert batch.shape == stack.shape
+    axes = (0,) + tuple(range(2, stack.ndim))
+    scale = np.max(np.abs(stack), axis=axes, keepdims=True)
+    return np.max(np.abs(batch - stack) / np.where(scale > 0.0, scale, 1.0))

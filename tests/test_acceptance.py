@@ -41,7 +41,7 @@ def report(num, ok, detail):
 
 def bounded_cartesian_state(chief, rng, scale=1e-5):
     doe = np.concatenate([[0.0], scale * rng.standard_normal(5)])
-    return geo_map(chief, chief.theta0, "cartesian").entries @ doe
+    return geo_map(chief, chief.theta0, "cartesian") @ doe
 
 
 def test_criterion_01_cw_closed_form_suite():
@@ -96,7 +96,7 @@ def test_criterion_02_qns_defining_ode():
             ths = chief.theta0 + np.linspace(0.05, TWO_PI - 0.05, 25)
             worst = max(worst, lf_defining_residual(
                 lambda th, c=chief: lf_qns(c, th),
-                lambda th, c=chief: qns_plant_theta(c, float(th)), r, ths))
+                lambda th, c=chief: qns_plant_theta(c, th), r, ths))
     elapsed = time.time() - t_start
     ok = worst < 1e-7 and elapsed < 5.0
     report(2, ok, f"residual {worst:.2e} (<1e-7) over 5 eccentricities x 8 "
@@ -121,7 +121,7 @@ def test_criterion_03_cross_coordinate_mapping():
         sys_qns = lti_qns(chief)
         for domain in ("cartesian", "spherical"):
             g0 = geo_map(chief, chief.theta0, domain)
-            mapped = map_lti(g0, sys_qns)
+            mapped = map_lti(g0, sys_qns.R)
             closed = lti_closed(chief, domain).R
             scale = np.max(np.abs(closed))
             worst = max(worst, np.max(np.abs(mapped - closed)) / scale)
@@ -185,7 +185,7 @@ def test_criterion_05_boundedness_drift_dichotomy():
         worst_return = max(worst_return,
                            np.linalg.norm(end - x0) / np.linalg.norm(x0))
     # drifting side: secular growth proportional to the drift weight
-    g0 = geo_map(chief, chief.theta0, "cartesian").entries
+    g0 = geo_map(chief, chief.theta0, "cartesian")
     xa = g0 @ np.array([0.4, 1e-5, 0, 0, 0, 0])
     xb = g0 @ np.array([1.3, 1e-5, 0, 0, 0, 0])
     ca = modal_constants(chief, xa, "cartesian")
@@ -292,7 +292,7 @@ def test_criterion_09_variation_of_constants():
     b = np.vstack([np.zeros((3, 3)), np.eye(3)])
 
     def rhs(t, x):
-        return (cartesian_plant_keplerian(chief, time_to_theta(chief, t)).entries
+        return (cartesian_plant_keplerian(chief, time_to_theta(chief, t))
                 @ x + b @ u)
 
     sol = solve_ivp(rhs, (0.0, t_arc[-1]), x0, method="DOP853", rtol=1e-12,
@@ -322,7 +322,7 @@ def test_criterion_10_singularity_handling():
     ths_a = chief_a.theta0 + np.linspace(0.05, TWO_PI - 0.05, 25)
     resid_a = lf_defining_residual(
         lambda th: lf_qns(chief_a, th),
-        lambda th: qns_plant_theta(chief_a, float(th)),
+        lambda th: qns_plant_theta(chief_a, th),
         lti_qns(chief_a).R, ths_a)
 
     # q1 = 0: the reference orbit itself; the delta-theta row is regular
@@ -335,7 +335,7 @@ def test_criterion_10_singularity_handling():
     jump_b = np.max(np.abs(np.diff(rows, axis=0)))
     resid_b = lf_defining_residual(
         lambda th: lf_qns(chief_b, th),
-        lambda th: qns_plant_theta(chief_b, float(th)),
+        lambda th: qns_plant_theta(chief_b, th),
         lti_qns(chief_b).R, ths_b)
     ok = (err_a < 1e-12 and resid_a < 1e-7
           and jump_b < 1e-10 and resid_b < 1e-7)

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from relmodes.cli import main
+from relmodes.cli import build_parser, main
 from relmodes.io import (chief_from_config, qns_diff_from_classical,
                          read_trajectory_csv, write_trajectory_csv)
 from relmodes import extract_constants
@@ -57,6 +57,29 @@ class TestIoHelpers:
         assert np.allclose(th2, thetas, rtol=1e-14)
         assert np.allclose(t2, times, rtol=1e-14)
         assert np.allclose(st2, states, rtol=1e-14)
+
+
+class TestParser:
+    # each command takes only the flags it reads
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--periods", "1"], ["validate", "--tol", "1e-9"],
+        ["floquet-num", "--periods", "1"], ["modes", "--tol", "1e-9"],
+        ["reconstruct", "--tol", "1e-9"], ["sweep", "--tol", "1e-9"],
+        ["sweep", "--rep", "sph"]])
+    def test_unread_flag_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--config", "c.json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--rep", "sph", "--periods", "1", "--tol", "1e-9"],
+        ["floquet-num", "--tol", "1e-9"], ["modes", "--periods", "2"],
+        ["reconstruct", "--periods", "2"], ["sweep", "--periods", "2"],
+        ["validate"]])
+    def test_read_flag_accepted(self, argv):
+        args = build_parser().parse_args(argv + ["--config", "c.json"])
+        assert args.config == "c.json"
 
 
 class TestModesCommand:

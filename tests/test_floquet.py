@@ -15,7 +15,8 @@ from relmodes.floquet import balanced_solve, lf_qns_components
 from relmodes.geometry import geo_map
 from relmodes.plants import cartesian_plant_keplerian, qns_plant_time
 
-from conftest import integrate_cartesian, random_chief, scaled_error
+from conftest import (batch_grid, batch_vs_scalar_error, integrate_cartesian,
+                      random_chief, scaled_error)
 
 TWO_PI = 2.0 * math.pi
 
@@ -74,7 +75,7 @@ class TestQnsTransform:
             td = eval_at_theta(chief, th).thetadot
             p = p_t(th)
             dp_dt = td * (p_t(th + h) - p_t(th - h)) / (2.0 * h)
-            a = qns_plant_time(chief, th).entries
+            a = qns_plant_time(chief, th)
             worst = max(worst, np.max(np.abs(
                 np.linalg.solve(p, a @ p - dp_dt) - lam)))
         assert worst < 1e-10
@@ -149,6 +150,12 @@ class TestDeltaTheta:
         assert vals[1] == pytest.approx(2.0 * vals[0], rel=1e-10)
         assert vals[2] == pytest.approx(4.0 * vals[0], rel=1e-10)
 
+    def test_array_matches_scalar(self, generic_chief):
+        grid = batch_grid(generic_chief)
+        assert batch_vs_scalar_error(
+            lambda th: delta_theta_solution(generic_chief, th, 1.0, 2e-3,
+                                            1e-3, -2e-3), grid) <= 1e-15
+
     def test_against_ode_oracle(self, generic_chief):
         chief = generic_chief
         doe0 = np.array([1.0, 2e-3, 0.0, 1e-3, -2e-3, 0.0])
@@ -166,7 +173,7 @@ class TestDeltaTheta:
 class TestMapTheorems:
     def test_identity_map(self, generic_chief):
         sys = lti_qns(generic_chief)
-        assert np.allclose(map_lti(np.eye(6), sys), sys.R)
+        assert np.allclose(map_lti(np.eye(6), sys.R), sys.R)
 
     def test_mapped_equals_closed(self, rng):
         for _ in range(100):
@@ -174,14 +181,14 @@ class TestMapTheorems:
             sys = lti_qns(chief)
             for domain in ("cartesian", "spherical"):
                 g0 = geo_map(chief, chief.theta0, domain)
-                mapped = map_lti(g0, sys)
+                mapped = map_lti(g0, sys.R)
                 closed = lti_closed(chief, domain).R
                 scale = np.max(np.abs(closed))
                 assert np.max(np.abs(mapped - closed)) < 1e-9 * scale
 
     def test_mapped_jordan_structure(self, generic_chief):
         g0 = geo_map(generic_chief, generic_chief.theta0, "cartesian")
-        mapped = map_lti(g0, lti_qns(generic_chief))
+        mapped = map_lti(g0, lti_qns(generic_chief).R)
         s = np.linalg.svd(mapped, compute_uv=False)
         assert np.sum(s > 1e-9 * s[0]) == 1  # geometric multiplicity 5
         assert np.allclose(mapped @ mapped, 0.0,
@@ -202,12 +209,16 @@ class TestMapTheorems:
         p = lambda th: lf_transform(chief, "cartesian", th)
         r_x = lti_closed(chief, "cartesian").R
 
+        calls = []
+
         def plant_theta(th):
-            td = eval_at_theta(chief, float(th)).thetadot
-            return cartesian_plant_keplerian(chief, float(th)).entries / td
+            calls.append(np.shape(th))
+            td = eval_at_theta(chief, th).thetadot
+            return cartesian_plant_keplerian(chief, th) / td[..., None, None]
 
         ths = chief.theta0 + np.linspace(0.1, TWO_PI, 25)
         resid = lf_defining_residual(p, plant_theta, r_x, ths)
+        assert calls == [(25,)]  # one call on the whole batch
         assert resid < 1e-7 * max(1.0, np.max(np.abs(r_x)))
 
 
@@ -301,7 +312,7 @@ class TestStateTransition:
             chief = random_chief(rng)
             ths = chief.theta0 + np.linspace(0.0, 2.0 * TWO_PI, 50)
             for domain in ("cartesian", "spherical"):
-                x0 = geo_map(chief, chief.theta0, domain).entries @ (
+                x0 = geo_map(chief, chief.theta0, domain) @ (
                     rng.standard_normal(6) * 1e-4)
                 c = modal_constants(chief, x0, domain).c
                 err = scaled_error(state_transition(chief, domain, ths) @ x0,
@@ -350,7 +361,7 @@ class TestModalConstants:
     def test_spherical_no_drift_iff_same_energy(self, generic_chief):
         doe = np.array([0.0, 2e-4, 1e-4, 1e-4, -2e-4, 1e-4])  # da = 0
         xs0 = geo_map(generic_chief, generic_chief.theta0,
-                      "spherical").entries @ doe
+                      "spherical") @ doe
         c = modal_constants(generic_chief, xs0, "spherical")
         assert abs(c.c[5]) < 1e-12 * np.max(np.abs(c.c))
 

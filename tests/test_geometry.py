@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from relmodes import (NearSingularMatrixError, cart_sph_linear,
                       cart_sph_linear_at, cart_to_sph, eval_at_theta,
-                      g_cartesian, g_inverse, g_spherical, make_chief,
-                      sph_to_cart)
+                      g_cartesian, g_inverse, g_spherical, geo_map,
+                      make_chief, sph_to_cart)
 
-from conftest import random_chief
+from conftest import batch_grid, batch_vs_scalar_error, random_chief
 
 TWO_PI = 2.0 * math.pi
 
@@ -19,18 +19,18 @@ class TestCartesianMap:
     def test_leading_entry_is_radius_ratio(self, generic_chief, rng):
         for _ in range(5):
             th = rng.uniform(0.0, TWO_PI)
-            g = g_cartesian(generic_chief, th).entries
+            g = g_cartesian(generic_chief, th)
             assert g[0, 0] == pytest.approx(
                 eval_at_theta(generic_chief, th).r / generic_chief.a)
 
     def test_circular_leading_entry(self):
         chief = make_chief(12000.0, 0.0, 1.0, 0.0, 0.0, 0.0)
         for th in (0.0, 1.0, 4.0):
-            assert g_cartesian(chief, th).entries[0, 0] == pytest.approx(1.0)
+            assert g_cartesian(chief, th)[0, 0] == pytest.approx(1.0)
 
     def test_molniya_radial_coupling(self, molniya):
         st0 = eval_at_theta(molniya, 0.0)
-        g = g_cartesian(molniya, 0.0).entries
+        g = g_cartesian(molniya, 0.0)
         # (vr/vt) r = -Aq r^2/p with Aq = -0.74 at this epoch
         assert g[0, 1] == pytest.approx(0.74 * st0.r**2 / molniya.p,
                                         rel=1e-12)
@@ -38,7 +38,7 @@ class TestCartesianMap:
     def test_semimajor_difference_column(self, generic_chief):
         th = generic_chief.theta0
         st0 = eval_at_theta(generic_chief, th)
-        col = g_cartesian(generic_chief, th).entries[:, 0]
+        col = g_cartesian(generic_chief, th)[:, 0]
         a = generic_chief.a
         expect = np.array([st0.r / a, 0.0, 0.0, -st0.vr / (2 * a),
                            -1.5 * st0.vt / a, 0.0])
@@ -46,8 +46,8 @@ class TestCartesianMap:
 
     def test_periodicity(self, generic_chief):
         th = 0.9
-        assert np.allclose(g_cartesian(generic_chief, th).entries,
-                           g_cartesian(generic_chief, th + TWO_PI).entries,
+        assert np.allclose(g_cartesian(generic_chief, th),
+                           g_cartesian(generic_chief, th + TWO_PI),
                            rtol=1e-12, atol=1e-12)
 
 
@@ -55,21 +55,21 @@ class TestSphericalMap:
     def test_shared_rows(self, generic_chief, rng):
         for _ in range(5):
             th = rng.uniform(0.0, TWO_PI)
-            gc = g_cartesian(generic_chief, th).entries
-            gs = g_spherical(generic_chief, th).entries
+            gc = g_cartesian(generic_chief, th)
+            gs = g_spherical(generic_chief, th)
             assert np.array_equal(gc[0], gs[0])
             assert np.array_equal(gc[3], gs[3])
 
     def test_angle_row_is_scaled_position_row(self, generic_chief):
         th = 2.7
-        gc = g_cartesian(generic_chief, th).entries
-        gs = g_spherical(generic_chief, th).entries
+        gc = g_cartesian(generic_chief, th)
+        gs = g_spherical(generic_chief, th)
         r = eval_at_theta(generic_chief, th).r
         assert np.allclose(gs[1], gc[1] / r, rtol=1e-14)
 
     def test_circular_rate_entry(self):
         chief = make_chief(12000.0, 0.0, 1.0, 0.0, 0.0, 0.0)
-        g = g_spherical(chief, 1.2).entries
+        g = g_spherical(chief, 1.2)
         assert g[4, 0] == pytest.approx(-1.5 * chief.n / chief.a, rel=1e-13)
 
     def test_equals_linearized_conversion_of_cartesian_map(self, rng):
@@ -79,10 +79,20 @@ class TestSphericalMap:
             th = rng.uniform(0.0, TWO_PI)
             st_ = eval_at_theta(chief, th)
             fwd, _ = cart_sph_linear(st_.r, st_.vr)
-            gc = g_cartesian(chief, th).entries
-            gs = g_spherical(chief, th).entries
+            gc = g_cartesian(chief, th)
+            gs = g_spherical(chief, th)
             scale = np.max(np.abs(gs))
             assert np.max(np.abs(fwd @ gc - gs)) < 1e-10 * scale
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.01j], ids=["real", "complex"])
+@pytest.mark.parametrize("target", ["cartesian", "spherical"])
+def test_array_matches_scalar(generic_chief, target, shift):
+    grid = batch_grid(generic_chief, shift)
+    g = geo_map(generic_chief, grid, target)
+    assert g.shape == (721, 6, 6)
+    assert batch_vs_scalar_error(
+        lambda th: geo_map(generic_chief, th, target), grid) <= 1e-15
 
 
 class TestInverse:
@@ -92,12 +102,12 @@ class TestInverse:
             th = rng.uniform(0.0, TWO_PI)
             g = g_cartesian(chief, th)
             gi = g_inverse(g)
-            assert np.max(np.abs(g.entries @ gi - np.eye(6))) < 1e-10
+            assert np.max(np.abs(g @ gi - np.eye(6))) < 1e-10
 
     def test_state_round_trip(self, generic_chief, rng):
         g = g_cartesian(generic_chief, 1.0)
         doe = rng.standard_normal(6) * 1e-4
-        x = g.entries @ doe
+        x = g @ doe
         assert np.allclose(g_inverse(g) @ x, doe, rtol=1e-10, atol=1e-16)
 
     def test_near_singular_rejected(self, rng):
@@ -109,7 +119,7 @@ class TestInverse:
     def test_conditioning_reported_for_reference_orbit(self, molniya):
         # no ground truth; record that the map stays comfortably regular
         from relmodes.geometry import equilibrated_cond
-        cond = equilibrated_cond(g_cartesian(molniya, molniya.theta0).entries)
+        cond = equilibrated_cond(g_cartesian(molniya, molniya.theta0))
         print(f"reference-orbit map equilibrated cond: {cond:.3e}")
         assert np.isfinite(cond) and cond < 1e6
 

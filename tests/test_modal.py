@@ -14,14 +14,14 @@ from relmodes import (NearSingularMatrixError, cart_sph_linear_at,
                       stationary_plane, sweep_bounded_family, time_to_theta)
 from relmodes.plants import cartesian_plant_keplerian
 
-from conftest import random_chief
+from conftest import batch_grid, batch_vs_scalar_error, random_chief
 
 TWO_PI = 2.0 * math.pi
 
 
 def bounded_state(chief, rng, scale=1e-5, domain="cartesian"):
     doe = np.concatenate([[0.0], scale * rng.standard_normal(5)])
-    return geo_map(chief, chief.theta0, domain).entries @ doe
+    return geo_map(chief, chief.theta0, domain) @ doe
 
 
 class TestReconstruct:
@@ -69,7 +69,7 @@ class TestReconstruct:
         doe = np.array([0.0, 0.0, di,
                         (chief.e + de) * math.cos(w_d) - chief.q1,
                         (chief.e + de) * math.sin(w_d) - chief.q2, 0.0])
-        x0 = geo_map(chief, chief.theta0, "cartesian").entries @ doe
+        x0 = geo_map(chief, chief.theta0, "cartesian") @ doe
         assert abs(x0[2]) < 1e-12
         c = modal_constants(chief, x0, "cartesian")
         assert abs(c.c[5]) < 1e-10 * np.max(np.abs(c.c))  # bounded
@@ -87,14 +87,10 @@ class TestReconstruct:
     @pytest.mark.parametrize("domain", ["qns", "cartesian", "spherical"])
     def test_state_matrix_batch_matches_scalar(self, generic_chief, domain):
         chief = generic_chief
-        grid = chief.theta0 + np.linspace(0.0, 3.0 * TWO_PI, 721)
-        batch = modal_state_matrix(chief, domain, grid)
-        stack = np.array([modal_state_matrix(chief, domain, th)
-                          for th in grid])
-        assert batch.shape == (721, 6, 6)
-        # each state component scaled by its largest value on the grid
-        scale = np.max(np.abs(stack), axis=(0, 2), keepdims=True)
-        assert np.max(np.abs(batch - stack) / scale) < 1e-15
+        grid = batch_grid(chief)
+        assert modal_state_matrix(chief, domain, grid).shape == (721, 6, 6)
+        assert batch_vs_scalar_error(
+            lambda th: modal_state_matrix(chief, domain, th), grid) < 1e-15
 
     def test_output_shapes(self, generic_chief, rng):
         chief = generic_chief
@@ -121,8 +117,8 @@ class TestReconstruct:
     def test_spherical_cartesian_equivalence(self, generic_chief, rng):
         chief = generic_chief
         doe = np.concatenate([[0.0], 1e-5 * rng.standard_normal(5)])
-        xc0 = geo_map(chief, chief.theta0, "cartesian").entries @ doe
-        xs0 = geo_map(chief, chief.theta0, "spherical").entries @ doe
+        xc0 = geo_map(chief, chief.theta0, "cartesian") @ doe
+        xs0 = geo_map(chief, chief.theta0, "spherical") @ doe
         cc = modal_constants(chief, xc0, "cartesian")
         cs = modal_constants(chief, xs0, "spherical")
         for th in chief.theta0 + np.linspace(0.0, TWO_PI, 15):
@@ -411,7 +407,7 @@ class TestConstantsDynamics:
 
         def rhs(t, x):
             th = time_to_theta(chief, t)
-            return cartesian_plant_keplerian(chief, th).entries @ x + b @ u
+            return cartesian_plant_keplerian(chief, th) @ x + b @ u
 
         sol = solve_ivp(rhs, (0.0, t_arc[-1]), x0, method="DOP853",
                         rtol=1e-12, atol=1e-14)

@@ -163,7 +163,7 @@ class TestFourierFit:
         plant = keplerian_cartesian_plant(chief)
         n_samples = 1024
         grid = chief.period * np.arange(n_samples) / n_samples
-        values = np.array([plant(t).entries for t in grid])
+        values = np.array([plant(t) for t in grid])
         _, residual = fourier_periodic_fit(values, 0.0, chief.period, 160)
         assert residual < 1e-10
 
@@ -173,7 +173,7 @@ class TestFourierFit:
         plant = keplerian_cartesian_plant(chief)
         n_samples = 1024
         grid = chief.period * np.arange(n_samples) / n_samples
-        values = np.array([plant(t).entries for t in grid])
+        values = np.array([plant(t) for t in grid])
         fit, residual = fourier_periodic_fit(values, 0.0, chief.period,
                                              n_harmonics)
         loop = max(np.max(np.abs(v - fit(t))) for v, t in zip(values, grid))

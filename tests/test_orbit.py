@@ -12,7 +12,7 @@ from relmodes import (MU_EARTH, ChiefOrbit, OrbitDefinitionError,
                       time_to_theta)
 from relmodes.floquet import qns_r21
 
-from conftest import random_chief
+from conftest import batch_grid, batch_vs_scalar_error, random_chief
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,19 +43,29 @@ class TestMakeChief:
 
 
     def test_replace_recomputes_derived_scalars(self, generic_chief):
-        for attr in ("p", "h", "f0"):
+        for attr in ("p", "h", "f0", "kappa0", "r0"):
             getattr(generic_chief, attr)  # fill the source's cache
         other = dataclasses.replace(generic_chief, a=9000.0, q1=0.01,
                                     theta0=generic_chief.theta0 + 1.0)
         fresh = ChiefOrbit(a=9000.0, q1=0.01, q2=generic_chief.q2,
                            inc=generic_chief.inc, raan=generic_chief.raan,
                            theta0=generic_chief.theta0 + 1.0)
-        for attr in ("p", "h", "f0"):
+        for attr in ("p", "h", "f0", "kappa0", "r0"):
             assert getattr(other, attr) == getattr(fresh, attr)
             assert getattr(other, attr) != getattr(generic_chief, attr)
 
 
 class TestEvalAtTheta:
+    @pytest.mark.parametrize("shift", [0.0, 0.01j], ids=["real", "complex"])
+    def test_array_matches_scalar(self, generic_chief, shift):
+        def fields(theta):
+            st = eval_at_theta(generic_chief, theta)
+            return np.stack([st.kappa, st.r, st.vr, st.vt, st.thetadot],
+                            axis=-1)
+
+        grid = batch_grid(generic_chief, shift)
+        assert batch_vs_scalar_error(fields, grid) <= 1e-15
+
     def test_periapsis_line_values(self, molniya):
         st0 = eval_at_theta(molniya, 0.0)
         assert st0.kappa == pytest.approx(1.0, abs=1e-15)

@@ -13,7 +13,7 @@ from relmodes.twobody import (nonlinear_relative_rate,
                               propagate_twobody, chief_inertial_state,
                               deputy_from_relative, qns_elements_from_rv)
 
-from conftest import random_chief
+from conftest import batch_grid, batch_vs_scalar_error, random_chief
 
 TWO_PI = 2.0 * math.pi
 
@@ -74,20 +74,20 @@ class TestQnsPlant:
     def test_circular_row(self):
         chief = make_chief(12000.0, 0.0, 1.0, 0.0, 0.0, 0.0)
         for th in (0.3, 2.0, 5.5):
-            a = qns_plant_theta(chief, th).entries
+            a = qns_plant_theta(chief, th)
             assert a[1, 0] == pytest.approx(-1.5 / chief.a)
             assert a[1, 1] == 0.0
             assert a[1, 3] == pytest.approx(2.0 * math.cos(th))
             assert a[1, 4] == pytest.approx(2.0 * math.sin(th))
 
     def test_molniya_entry(self, molniya):
-        a = qns_plant_theta(molniya, 0.0).entries
+        a = qns_plant_theta(molniya, 0.0)
         assert a[1, 1] == pytest.approx(-1.48, rel=1e-12)
 
     def test_sparsity(self, rng):
         for _ in range(10):
             chief = random_chief(rng, avoid_singular=False)
-            a = qns_plant_theta(chief, rng.uniform(0, 10.0)).entries
+            a = qns_plant_theta(chief, rng.uniform(0, 10.0))
             mask = np.ones((6, 6), dtype=bool)
             mask[1, :] = False
             assert np.all(a[mask] == 0.0)
@@ -95,8 +95,8 @@ class TestQnsPlant:
 
     def test_periodicity(self, generic_chief):
         th = 1.234
-        assert np.allclose(qns_plant_theta(generic_chief, th).entries,
-                           qns_plant_theta(generic_chief, th + TWO_PI).entries,
+        assert np.allclose(qns_plant_theta(generic_chief, th),
+                           qns_plant_theta(generic_chief, th + TWO_PI),
                            rtol=1e-12, atol=1e-15)
 
     def test_row_is_latitude_rate_jacobian(self, generic_chief):
@@ -114,7 +114,7 @@ class TestQnsPlant:
         base = (chief.a, th, chief.q1, chief.q2)
         steps = (1e-2, 1e-7, 1e-8, 1e-8)
         cols = (0, 1, 3, 4)
-        a_row = qns_plant_theta(chief, th).entries[1]
+        a_row = qns_plant_theta(chief, th)[1]
         for arg, h, col in zip(range(4), steps, cols):
             hi = list(base)
             lo = list(base)
@@ -122,6 +122,15 @@ class TestQnsPlant:
             lo[arg] -= h
             deriv = (thetadot(*hi) - thetadot(*lo)) / (2.0 * h)
             assert a_row[col] == pytest.approx(deriv / td0, rel=1e-5)
+
+
+@pytest.mark.parametrize("plant", [qns_plant_theta, qns_plant_time,
+                                   cartesian_plant_keplerian])
+def test_array_matches_scalar(generic_chief, plant):
+    grid = batch_grid(generic_chief)
+    assert plant(generic_chief, grid).shape == (721, 6, 6)
+    assert batch_vs_scalar_error(lambda th: plant(generic_chief, th),
+                                 grid) <= 1e-15
 
 
 class TestGaussRates:
@@ -176,25 +185,25 @@ class TestGaussRates:
 class TestCartesianPlant:
     def test_circular_limit_is_cw(self):
         chief = make_chief(12000.0, 0.0, 1.0, 0.2, 0.4, 0.6)
-        a = cartesian_plant_keplerian(chief, 1.0).entries
+        a = cartesian_plant_keplerian(chief, 1.0)
         assert np.allclose(a, cw_plant_full(chief.n), rtol=1e-12, atol=1e-18)
 
     def test_periodicity(self, generic_chief):
         th = 0.7
         assert np.allclose(
-            cartesian_plant_keplerian(generic_chief, th).entries,
-            cartesian_plant_keplerian(generic_chief, th + TWO_PI).entries,
+            cartesian_plant_keplerian(generic_chief, th),
+            cartesian_plant_keplerian(generic_chief, th + TWO_PI),
             rtol=1e-12, atol=1e-16)
 
     def test_radial_gravity_entry(self, molniya):
         st0 = eval_at_theta(molniya, 0.0)
-        a = cartesian_plant_keplerian(molniya, 0.0).entries
+        a = cartesian_plant_keplerian(molniya, 0.0)
         assert st0.r == pytest.approx(molniya.p)
         assert a[3, 0] == pytest.approx(
             2.0 * molniya.mu / st0.r**3 + st0.thetadot**2, rel=1e-14)
 
     def test_block_structure(self, generic_chief):
-        a = cartesian_plant_keplerian(generic_chief, 2.2).entries
+        a = cartesian_plant_keplerian(generic_chief, 2.2)
         assert np.allclose(a[0:3, 0:3], 0.0)
         assert np.allclose(a[0:3, 3:6], np.eye(3))
 
@@ -202,7 +211,7 @@ class TestCartesianPlant:
         # central differences of the exact nonlinear relative rate
         h = 1e-6
         for th in np.linspace(0.0, TWO_PI, 7):
-            a = cartesian_plant_keplerian(molniya, th).entries
+            a = cartesian_plant_keplerian(molniya, th)
             jac = np.zeros((6, 6))
             for j in range(6):
                 e = np.zeros(6)
@@ -265,12 +274,12 @@ class TestPlantConsistency:
         for _ in range(50):
             th = chief.theta0 + rng.uniform(0.0, TWO_PI)
             td = eval_at_theta(chief, th).thetadot
-            g = g_cartesian(chief, th).entries
-            gdot = td * (g_cartesian(chief, th + h).entries
-                         - g_cartesian(chief, th - h).entries) / (2.0 * h)
-            a_qns = qns_plant_time(chief, th).entries
+            g = g_cartesian(chief, th)
+            gdot = td * (g_cartesian(chief, th + h)
+                         - g_cartesian(chief, th - h)) / (2.0 * h)
+            a_qns = qns_plant_time(chief, th)
             mapped = g @ a_qns @ g_inverse(g) + gdot @ g_inverse(g)
-            a_x = cartesian_plant_keplerian(chief, th).entries
+            a_x = cartesian_plant_keplerian(chief, th)
             assert np.max(np.abs(mapped - a_x)) / np.max(np.abs(a_x)) < 1e-6
 
 
@@ -281,7 +290,7 @@ class TestNonlinearOracleAgreement:
         # second-order linearization remainder and must scale linearly
         # with amplitude (machinery errors would not)
         chief = molniya
-        g0 = g_cartesian(chief, chief.theta0).entries
+        g0 = g_cartesian(chief, chief.theta0)
         t_grid = np.linspace(0.0, chief.period, 60)
         plant = lambda t: cartesian_plant_keplerian(chief,
                                                     time_to_theta(chief, t))
