@@ -29,9 +29,8 @@ from .numeric import (Eigenstructure, NumericFloquetResult,
                       fourier_periodic_fit, integrate_stm,
                       lf_from_monodromy, liouville_determinant_check,
                       numeric_modal_decomp, real_matrix_log)
-from .orbit import (MU_EARTH, ChiefOrbit, OrbitStateAtTheta, Shorthands,
-                    eval_at_theta, make_chief, shorthand_abc, theta_to_time,
-                    time_to_theta)
+from .orbit import (MU_EARTH, ChiefOrbit, OrbitStateAtTheta, eval_at_theta,
+                    make_chief, theta_to_time, time_to_theta)
 from .plants import (cartesian_plant_keplerian, cw_planar_plant,
                      cw_plant_full, cw_stm_planar, gauss_rates,
                      propagate_linear, qns_plant_theta, qns_plant_time)

@@ -18,14 +18,14 @@ import numpy as np
 
 from . import io as rio
 from .errors import RelMotionError
-from .floquet import (ModalConstants, drift_constant, lf_defining_residual,
-                      lf_qns, lti_closed, lti_qns, map_lti, modal_constants,
-                      qns_r21, state_transition)
+from .floquet import (ModalConstants, _lti_scale, drift_constant,
+                      lf_defining_residual, lf_qns, lti_closed, lti_qns,
+                      map_lti, modal_constants, qns_r21, state_transition)
 from .geometry import geo_map
 from .modal import (extract_constants, modal_state_matrix, normalize_mode,
                     reconstruct, stationary_plane, sweep_bounded_family)
 from .numeric import liouville_determinant_check, numeric_modal_decomp
-from .orbit import eval_at_theta, shorthand_abc, theta_to_time, time_to_theta
+from .orbit import eval_at_theta, theta_to_time, time_to_theta
 from .plants import cartesian_plant_keplerian, cw_plant_full, qns_plant_theta
 
 log = logging.getLogger("relmodes")
@@ -46,7 +46,6 @@ def cmd_modes(args):
     rep = rio.REP_ALIASES[args.rep]
     os.makedirs(args.out, exist_ok=True)
     sys_ = lti_closed(chief, rep)
-    sh = shorthand_abc(chief)
     # modes 1-5 are sampled over one period from one Psi stack; the drift
     # mode spans --periods on its own grid
     for grid, modes in ((_theta_grid(chief, 1.0), range(1, 6)),
@@ -61,8 +60,8 @@ def cmd_modes(args):
         "representation": rep,
         "eigenvalues": rio.matrix_to_json(sys_.eigenvalues),
         "jordan_chains": [list(c) for c in sys_.chains],
-        "shorthands": {"gamma": sh.gamma, "Aq": sh.Aq, "Bq": sh.Bq,
-                       "Cq": sh.Cq},
+        "shorthands": {"gamma": chief.gamma, "Aq": chief.Aq, "Bq": chief.Bq,
+                       "Cq": chief.Cq},
         "R21": qns_r21(chief), "Lambda21": qns_r21(chief) * chief.n,
         "drift_mode_periods": args.periods,
     }
@@ -240,13 +239,12 @@ def _suite_quadrature(chief):
 
 
 def _suite_shorthands(chief):
-    sh = shorthand_abc(chief)
-    r1 = abs(sh.gamma - (sh.Aq**2 + sh.Bq**2 - 1.0))
-    c_expect = -(1.0 - sh.Aq**2 - sh.Bq**2) ** 1.5 / ((sh.Bq + 1.0) ** 2 * chief.n)
-    r2 = abs(sh.Cq - c_expect) / abs(c_expect)
-    scale = 2.0 * qns_r21(chief) * chief.a / sh.gamma
-    s_expect = 3.0 * (sh.Bq + 1.0) ** 2 / (1.0 - sh.Aq**2 - sh.Bq**2) ** 2.5
-    r3 = abs(scale - s_expect) / abs(s_expect)
+    a_, b_ = chief.Aq, chief.Bq
+    r1 = abs(chief.gamma - (a_**2 + b_**2 - 1.0))
+    c_expect = -(1.0 - a_**2 - b_**2) ** 1.5 / ((b_ + 1.0) ** 2 * chief.n)
+    r2 = abs(chief.Cq - c_expect) / abs(c_expect)
+    s_expect = 3.0 * (b_ + 1.0) ** 2 / (1.0 - a_**2 - b_**2) ** 2.5
+    r3 = abs(_lti_scale(chief) - s_expect) / abs(s_expect)
     resid = max(r1, r2, r3)
     return {"residual": resid, "passed": bool(resid < 1e-12)}
 
@@ -261,16 +259,13 @@ def _suite_defining_ode(chief):
 
 
 def _suite_lti_mapping(chief):
-    g0 = geo_map(chief, chief.theta0, "cartesian")
-    mapped = map_lti(g0, lti_qns(chief).R)
-    closed = lti_closed(chief, "cartesian").R
-    scale = np.max(np.abs(closed))
-    resid = float(np.max(np.abs(mapped - closed)) / scale)
-    g0s = geo_map(chief, chief.theta0, "spherical")
-    mapped_s = map_lti(g0s, lti_qns(chief).R)
-    closed_s = lti_closed(chief, "spherical").R
-    resid_s = float(np.max(np.abs(mapped_s - closed_s)) / np.max(np.abs(closed_s)))
-    resid = max(resid, resid_s)
+    r_qns = lti_qns(chief).R
+    resid = 0.0
+    for domain in ("cartesian", "spherical"):
+        mapped = map_lti(geo_map(chief, chief.theta0, domain), r_qns)
+        closed = lti_closed(chief, domain).R
+        resid = max(resid, float(np.max(np.abs(mapped - closed))
+                                 / np.max(np.abs(closed))))
     return {"residual": resid, "passed": bool(resid < 1e-9)}
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NearSingularMatrixError
 from .geometry import g_inverse, geo_map
-from .orbit import eval_at_theta, shorthand_abc, theta_to_time
+from .orbit import eval_at_theta, theta_to_time
 
 _CSTEP = 1e-30  # complex-step size of the residual diagnostics
 
@@ -73,7 +73,7 @@ class ModalConstants:
 _TWO_PI = 2.0 * math.pi
 
 
-def _atan_unwrapped(q1, q2, eta, theta):
+def _atan_unwrapped(chief, theta):
     """Continuous branch of atan((q2 + (1-q1) tan(theta/2))/eta).
 
     The principal value jumps by pi at theta = pi + 2k*pi; adding k*pi per
@@ -83,24 +83,26 @@ def _atan_unwrapped(q1, q2, eta, theta):
     """
     k = np.rint(np.real(theta) / _TWO_PI)
     tm = theta - _TWO_PI * k
-    u = (q2 + (1.0 - q1) * np.tan(0.5 * tm)) / eta
+    u = (chief.q2 + (1.0 - chief.q1) * np.tan(0.5 * tm)) / chief.eta
     return np.arctan(u) + math.pi * k
 
 
-def _row_terms(q1, q2, eta, gamma, theta, indep):
-    """kappa and the regular F21, F24, F25 at the argument(s) of latitude.
+def _row_terms(chief, state, indep):
+    """kappa and the regular F21, F24, F25 at the chief state(s) `state`
+    (an OrbitStateAtTheta).
 
     F21 is returned as zero for the time-domain reduction, whose P21
     vanishes identically.
     """
-    st, ct = np.sin(theta), np.cos(theta)
-    kappa = 1.0 + q1 * ct + q2 * st
+    q1, q2 = chief.q1, chief.q2
+    st, ct, kappa = state.sin, state.cos, state.kappa
     f24 = 4.0 * (q2 + st) / kappa**2 + 4.0 * st / kappa
     f25 = 4.0 * (-q1 * (1.0 + ct * ct) - ct * (2.0 + q2 * st)) / kappa**2
     if indep == "time":
         return kappa, 0.0, f24, f25
-    f21 = (6.0 / eta**3 * (_atan_unwrapped(q1, q2, eta, theta) - 0.5 * theta)
-           + 3.0 * (q1 * st - q2 * ct) / (gamma * kappa))
+    f21 = (6.0 / chief.eta**3
+           * (_atan_unwrapped(chief, state.theta) - 0.5 * state.theta)
+           + 3.0 * (q1 * st - q2 * ct) / (chief.gamma * kappa))
     return kappa, f21, f24, f25
 
 
@@ -114,16 +116,13 @@ def lf_qns_components(chief, theta, indep="theta"):
     differences; the regular remainders used here are exact for every q1,
     q1 = 0 included.
     """
-    q1, q2 = chief.q1, chief.q2
-    gamma = q1 * q1 + q2 * q2 - 1.0
-    eta = math.sqrt(-gamma)
-    kappa, f21, f24, f25 = _row_terms(q1, q2, eta, gamma, theta, indep)
-    kappa0, f21_0, f24_0, f25_0 = _row_terms(q1, q2, eta, gamma,
-                                             chief.theta0, indep)
+    kappa, f21, f24, f25 = _row_terms(chief, eval_at_theta(chief, theta),
+                                      indep)
+    kappa0, f21_0, f24_0, f25_0 = _row_terms(chief, chief.epoch, indep)
     p21 = kappa**2 / (2.0 * chief.a) * (f21_0 - f21)
     p22 = kappa**2 / kappa0**2
-    p24 = kappa**2 / (4.0 * gamma) * (f24_0 - f24)
-    p25 = kappa**2 / (4.0 * gamma) * (f25_0 - f25)
+    p24 = kappa**2 / (4.0 * chief.gamma) * (f24_0 - f24)
+    p25 = kappa**2 / (4.0 * chief.gamma) * (f25_0 - f25)
     return p21, p22, p24, p25
 
 
@@ -147,7 +146,7 @@ def lf_qns(chief, theta, indep="theta"):
 
 def qns_r21(chief):
     """The single nonzero entry of the reduced element-difference plant."""
-    return -1.5 * chief.a * chief.eta / chief.r0**2
+    return -1.5 * chief.a * chief.eta / chief.epoch.r**2
 
 
 def lti_qns(chief, indep="theta"):
@@ -156,24 +155,25 @@ def lti_qns(chief, indep="theta"):
     Theta domain: R21 = -3 a eta / (2 r0^2); time domain scales by the
     mean motion. The matrix is nilpotent of index 2.
     """
-    r21 = qns_r21(chief)
-    if indep == "time":
-        r21 *= chief.n
+    return lti_closed(chief, "qns", indep)
+
+
+def _r_qns(chief):
     r = np.zeros((6, 6))
-    r[1, 0] = r21
+    r[1, 0] = qns_r21(chief)
+    return r
+
+
+def _v_qns(chief):
     # null directions ordered so that column 4 starts the drift 2-chain
     v = np.zeros((6, 6))
     v[2, 0] = 1.0  # delta-i
     v[3, 1] = 1.0  # delta-q1
     v[4, 2] = 1.0  # delta-q2
     v[5, 3] = 1.0  # delta-Omega
-    v[1, 4] = r[1, 0]  # R e1, the drift direction
-    v[0, 5] = 1.0      # generalized vector: pure delta-a
-    return LtiSystem(
-        R=r, V=v, eigenvalues=np.zeros(6),
-        chains=((0,), (1,), (2,), (3,), (4, 5)),
-        domain="qns", indep=indep,
-    )
+    v[1, 4] = qns_r21(chief)  # R e1, the drift direction
+    v[0, 5] = 1.0             # generalized vector: pure delta-a
+    return v
 
 
 def delta_theta_solution(chief, theta, da, dtheta0, dq1, dq2, dt=None):
@@ -227,11 +227,17 @@ def state_transition(chief, domain, theta):
     costs digits that this order keeps.
     """
     theta = np.asarray(theta, dtype=float)
+    return _to_local(chief, domain, theta, _qns_transition(chief, theta))
+
+
+def _qns_transition(chief, theta):
+    """P(theta) (I + (theta - theta0) R) in element differences, for a
+    float array theta."""
     phi = lf_qns(chief, theta)
     # I + dtheta R adds dtheta R21 times column 1 to column 0
     phi[..., :, 0] += ((theta - chief.theta0) * qns_r21(chief))[..., None] \
         * phi[..., :, 1]
-    return _to_local(chief, domain, theta, phi)
+    return phi
 
 
 def _to_local(chief, domain, theta, m):
@@ -247,13 +253,13 @@ def _to_local(chief, domain, theta, m):
 # closed-form local-coordinate reductions
 # ---------------------------------------------------------------------------
 
-def _lti_scale(chief, sh):
+def _lti_scale(chief):
     """2 R21 a / gamma, equal to 3 (B+1)^2 / (1 - A^2 - B^2)^(5/2)."""
-    return 2.0 * qns_r21(chief) * chief.a / sh.gamma
+    return 2.0 * qns_r21(chief) * chief.a / chief.gamma
 
 
-def _r_cartesian(chief, sh):
-    a_, b_, c_ = sh.Aq, sh.Bq, sh.Cq
+def _r_cartesian(chief):
+    a_, b_, c_ = chief.Aq, chief.Bq, chief.Cq
     m = np.array([
         [a_ * (b_ + 2.0), a_**2, 0.0, a_**2 * c_, -a_ * (b_ + 1.0) * c_, 0.0],
         [-(b_ + 1.0) * (b_ + 2.0), -a_ * (b_ + 1.0), 0.0,
@@ -263,12 +269,12 @@ def _r_cartesian(chief, sh):
         [a_ * (b_ + 2.0) / c_, a_**2 / c_, 0.0, a_**2, -a_ * (b_ + 1.0), 0.0],
         [0.0] * 6,
     ])
-    return _lti_scale(chief, sh) * m
+    return _lti_scale(chief) * m
 
 
-def _r_spherical(chief, sh):
-    a_, b_, c_ = sh.Aq, sh.Bq, sh.Cq
-    ga = sh.gamma * chief.a
+def _r_spherical(chief):
+    a_, b_, c_ = chief.Aq, chief.Bq, chief.Cq
+    ga = chief.gamma * chief.a
     m = np.array([
         [a_ * (b_ + 2.0), 0.0, 0.0, a_**2 * c_, ga * a_ * c_, 0.0],
         [(b_ + 1.0) ** 2 * (b_ + 2.0) / ga, 0.0, 0.0,
@@ -279,12 +285,12 @@ def _r_spherical(chief, sh):
          -2.0 * a_**2 * (b_ + 1.0) / ga, -2.0 * a_ * (b_ + 1.0), 0.0],
         [0.0] * 6,
     ])
-    return _lti_scale(chief, sh) * m
+    return _lti_scale(chief) * m
 
 
-def _v_cartesian(chief, sh):
-    a_, b_, c_ = sh.Aq, sh.Bq, sh.Cq
-    s = _lti_scale(chief, sh)
+def _v_cartesian(chief):
+    a_, b_, c_ = chief.Aq, chief.Bq, chief.Cq
+    s = _lti_scale(chief)
     return np.array([
         [0.0, 0.0, 0.0, 0.0, -s * a_ * (b_ + 1.0) * c_, 0.0],
         [1.0, 0.0, 0.0, 0.0, s * (b_ + 1.0) ** 2 * c_, 0.0],
@@ -295,10 +301,10 @@ def _v_cartesian(chief, sh):
     ])
 
 
-def _v_spherical(chief, sh):
-    a_, b_, c_ = sh.Aq, sh.Bq, sh.Cq
-    ga = sh.gamma * chief.a
-    s = _lti_scale(chief, sh)
+def _v_spherical(chief):
+    a_, b_, c_ = chief.Aq, chief.Bq, chief.Cq
+    ga = chief.gamma * chief.a
+    s = _lti_scale(chief)
     return np.array([
         [0.0, 0.0, 0.0, 0.0, s * a_ * c_ * ga, 0.0],
         [1.0, 0.0, 0.0, 0.0, s * (b_ + 1.0) ** 2 * c_, 0.0],
@@ -309,37 +315,42 @@ def _v_spherical(chief, sh):
     ])
 
 
+_R_FORMS = {"qns": _r_qns, "cartesian": _r_cartesian,
+            "spherical": _r_spherical}
+_V_FORMS = {"qns": _v_qns, "cartesian": _v_cartesian,
+            "spherical": _v_spherical}
+
+
 def eigvecs_closed(chief, domain):
-    """Closed-form true/generalized eigenvector matrix of the reduced
-    local-coordinate plant. Columns 1..4 (0-based 0..3) are null
+    """Closed-form true/generalized eigenvector matrix of the theta-domain
+    reduced plant in the element-difference ("qns"), LVLH Cartesian or
+    local spherical state. Columns 1..4 (0-based 0..3) are null
     directions, column 4 heads the drift 2-chain and column 5 closes it.
 
-    The columns are finite for every closed chief, but the matrix is
-    invertible iff e*sin(f0) != 0.
+    The columns are finite for every closed chief. The element-difference
+    matrix is invertible at every epoch, the local ones iff
+    e*sin(f0) != 0.
     """
-    sh = shorthand_abc(chief)
-    if domain == "cartesian":
-        return _v_cartesian(chief, sh)
-    if domain == "spherical":
-        return _v_spherical(chief, sh)
-    raise ValueError(f"unknown domain {domain!r}")
+    if domain not in _V_FORMS:
+        raise ValueError(f"unknown domain {domain!r}")
+    return _V_FORMS[domain](chief)
 
 
 def lti_closed(chief, domain, indep="theta"):
     """Closed-form reduced constant plant and its eigenvectors in the
     element-difference ("qns"), LVLH Cartesian or local spherical state.
 
-    R is regular at every epoch; V is singular where e*sin(f0) = 0.
+    The time-domain plant is n R; V is the theta-domain eigvecs_closed in
+    both, so with time as independent variable the chain reads
+    R v6 = n v5. R is regular at every epoch; the local V is singular
+    where e*sin(f0) = 0.
     """
-    if domain == "qns":
-        return lti_qns(chief, indep)
-    sh = shorthand_abc(chief)
-    build_r = _r_cartesian if domain == "cartesian" else _r_spherical
-    r = build_r(chief, sh)
+    v = eigvecs_closed(chief, domain)  # rejects an unknown domain
+    r = _R_FORMS[domain](chief)
     if indep == "time":
         r = chief.n * r
     return LtiSystem(
-        R=r, V=eigvecs_closed(chief, domain), eigenvalues=np.zeros(6),
+        R=r, V=v, eigenvalues=np.zeros(6),
         chains=((0,), (1,), (2,), (3,), (4, 5)),
         domain=domain, indep=indep,
     )
@@ -395,12 +406,11 @@ def drift_constant(chief, state0, domain):
     it with unit weight.
     """
     x0 = np.asarray(state0, dtype=float)
-    st0 = eval_at_theta(chief, chief.theta0)
-    r0, vr0, vt0 = st0.r, st0.vr, st0.vt
+    r0, vr0, vt0 = chief.epoch.r, chief.epoch.vr, chief.epoch.vt
     p = chief.p
     if domain == "cartesian":
         return float((p / r0 + 1.0) * (p / r0) * chief.n / chief.eta**3 * x0[0]
-                     + vr0 / (vt0 * shorthand_abc(chief).Cq) * x0[1]
+                     + vr0 / (vt0 * chief.Cq) * x0[1]
                      + vr0 / vt0 * x0[3] + x0[4])
     if domain == "spherical":
         return float(chief.mu / (chief.h * r0**2) * (1.0 + p / r0) * x0[0]
@@ -420,11 +430,8 @@ def modal_constants(chief, state0, domain):
     """
     x0 = np.asarray(state0, dtype=float)
     check_regular_epoch(chief, domain)
-    st0 = eval_at_theta(chief, chief.theta0)
-    r0, vr0, vt0 = st0.r, st0.vr, st0.vt
-    p, a, n = chief.p, chief.a, chief.n
-    e2 = chief.q1**2 + chief.q2**2
-    cq = shorthand_abc(chief).Cq
+    r0, vr0, vt0 = chief.epoch.r, chief.epoch.vr, chief.epoch.vt
+    p, a, n, cq = chief.p, chief.a, chief.n, chief.Cq
     c6 = drift_constant(chief, x0, domain)  # rejects an unknown domain
     if domain == "cartesian":
         x, y, z, xd, yd, zd = x0
@@ -433,7 +440,7 @@ def modal_constants(chief, state0, domain):
             z,
             (-(vt0 * r0) / (vr0 * p) * x + y + cq * xd) / cq,
             zd,
-            -(1.0 - e2) * vt0 / (3.0 * vr0) * n * (r0 / p) ** 2 * x,
+            chief.gamma * vt0 / (3.0 * vr0) * n * (r0 / p) ** 2 * x,
             c6,
         ])
     else:

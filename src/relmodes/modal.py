@@ -15,11 +15,12 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError
-from .floquet import (ModalConstants, balanced_solve, check_regular_epoch,
-                      drift_constant, eigvecs_closed, lf_qns, lf_transform,
-                      lti_closed, modal_constants, qns_r21, state_transition)
+from .floquet import (ModalConstants, _lti_scale, _qns_transition,
+                      balanced_solve, check_regular_epoch, drift_constant,
+                      eigvecs_closed, lf_transform, modal_constants,
+                      state_transition)
 from .geometry import g_inverse, geo_map
-from .orbit import eval_at_theta, shorthand_abc, time_to_theta
+from .orbit import eval_at_theta, time_to_theta
 
 
 @dataclass(frozen=True)
@@ -60,11 +61,37 @@ def modal_state_matrix(chief, domain, theta):
     """Fundamental-solution matrix Psi(theta) = P(theta) V (I + (theta -
     theta0) E_56), shape theta.shape + (6, 6); column k is fundamental
     solution k+1, so Psi @ c is the state at theta. Built on the
-    theta-domain reduction."""
+    theta-domain reduction.
+
+    It is evaluated as G(theta) P(theta) (I + (theta - theta0) R)
+    G(theta0)^-1 V, the state transition applied to the eigenvector
+    columns, with the drift taken in element differences as in
+    state_transition; adding (theta - theta0) times column 5 to column 6
+    of P_x(theta) V lost up to 10x more digits.
+    """
+    return _solution_stack(chief, domain, theta, _element_basis(chief, domain))
+
+
+def _element_basis(chief, domain):
+    """Eigenvector columns in element differences, G(theta0)^-1 V."""
+    v = eigvecs_closed(chief, domain)
+    if domain == "qns":
+        return v
+    w = g_inverse(geo_map(chief, chief.theta0, domain)) @ v
+    # columns 1-5 span the null space of R, which has no delta-a; the
+    # numeric inverse leaves rounding there that R would turn into drift
+    w[0, :5] = 0.0
+    return w
+
+
+def _solution_stack(chief, domain, theta, w):
+    """G(theta) P(theta) (I + (theta - theta0) R) w: the solutions through
+    the element-difference columns w, in domain coordinates."""
     theta = np.asarray(theta, dtype=float)
-    psi = lf_transform(chief, domain, theta) @ lti_closed(chief, domain).V
-    psi[..., 5] += (theta - chief.theta0)[..., None] * psi[..., 4]
-    return psi
+    psi = _qns_transition(chief, theta) @ w
+    if domain == "qns":
+        return psi
+    return geo_map(chief, theta, domain) @ psi
 
 
 def reconstruct(chief, constants, theta, domain=None):
@@ -83,9 +110,9 @@ def extract_constants(chief, state, theta, domain):
     an epoch with e*sin(f0) ~ 0 (see check_regular_epoch).
     """
     check_regular_epoch(chief, domain)
-    sys = lti_closed(chief, domain)
-    m = sys.V.copy()
-    m[:, 5] += (theta - chief.theta0) * sys.V[:, 4]
+    v = eigvecs_closed(chief, domain)
+    m = v.copy()
+    m[:, 5] += (theta - chief.theta0) * v[:, 4]
     chi = np.linalg.solve(lf_transform(chief, domain, theta),
                           np.asarray(state, dtype=float))
     c = balanced_solve(m, chi)
@@ -148,10 +175,9 @@ def no_drift_maneuver_line(chief, theta=None):
 
 def stationary_plane(chief):
     """Stationary-plane geometry of the reduced spherical coordinates."""
-    sh = shorthand_abc(chief)
-    a_, b_, c_ = sh.Aq, sh.Bq, sh.Cq
-    ga = sh.gamma * chief.a
-    alpha = 2.0 * qns_r21(chief) * chief.a / sh.gamma
+    a_, b_, c_ = chief.Aq, chief.Bq, chief.Cq
+    ga = chief.gamma * chief.a
+    alpha = _lti_scale(chief)
     n_vec = np.array([(b_ + 2.0) / c_, a_, ga])
     zeta = np.array([a_ * c_, b_, -2.0 * a_ * (b_ + 1.0) / ga])
     r_f = alpha * np.array([
@@ -192,27 +218,15 @@ _RTOL, _ATOL = 1e-12, 1e-14  # integrate_constants
 
 
 def psi_time_factory(chief, domain):
-    """Time-domain solution matrix Psi(t) = P_t V (I + n (t-t0) E_56).
-
-    Psi(t) c is the modal state at time t since epoch; built on the
-    time-domain reduction so the secular term advances with mean motion.
+    """Solution matrix at time t since epoch: Psi(t) is the theta-domain
+    modal_state_matrix at theta(t), so Psi(t) c is the modal state at t.
     """
-    sys = lti_closed(chief, domain, indep="time")
-    n = chief.n
     # psi runs inside ODE right-hand sides, so G(theta0)^-1 is taken once
-    # here instead of in an lf_transform call per step
-    v = sys.V
-    if domain != "qns":
-        v = g_inverse(geo_map(chief, chief.theta0, domain)) @ v
+    # here instead of once per step
+    w = _element_basis(chief, domain)
 
     def psi(t):
-        theta = time_to_theta(chief, t)
-        m = v.copy()
-        m[:, 5] += n * t * v[:, 4]
-        out = lf_qns(chief, theta, indep="time") @ m
-        if domain != "qns":
-            out = geo_map(chief, theta, domain) @ out
-        return out
+        return _solution_stack(chief, domain, time_to_theta(chief, t), w)
 
     return psi
 

@@ -60,7 +60,7 @@ class ChiefOrbit:
             raise OrbitDefinitionError(f"semimajor axis must be positive, got {self.a}")
         if not self.mu > 0:
             raise OrbitDefinitionError(f"mu must be positive, got {self.mu}")
-        if not self.q1 * self.q1 + self.q2 * self.q2 < 1.0:
+        if not self.gamma < 0.0:
             raise OrbitDefinitionError(
                 "q1^2 + q2^2 >= 1: orbit is not closed (e >= 1), "
                 "periodic reduction theory does not apply"
@@ -85,13 +85,19 @@ class ChiefOrbit:
         return self.theta0 - self.argp
 
     @cached_property
+    def gamma(self):
+        """-(1 - e^2), with 1 - e^2 taken as 1 - q1^2 - q2^2: the one
+        formula for it that eta, p and every reduction read."""
+        return -(1.0 - self.q1 * self.q1 - self.q2 * self.q2)
+
+    @cached_property
     def eta(self):
-        return math.sqrt(1.0 - self.q1 * self.q1 - self.q2 * self.q2)
+        return math.sqrt(-self.gamma)
 
     @cached_property
     def p(self):
-        """Semilatus rectum a*eta^2 (km)."""
-        return self.a * self.eta * self.eta
+        """Semilatus rectum a*(1 - e^2) (km)."""
+        return self.a * -self.gamma
 
     @cached_property
     def h(self):
@@ -107,18 +113,25 @@ class ChiefOrbit:
     def period(self):
         return 2.0 * math.pi / self.n
 
-    def kappa(self, theta):
-        """p / r at theta (scalar or array, real or complex)."""
-        return eval_at_theta(self, theta).kappa
+    @cached_property
+    def epoch(self):
+        """Chief state at theta0 (an OrbitStateAtTheta)."""
+        return eval_at_theta(self, self.theta0)
+
+    # epoch shorthands of the constant-coefficient reductions:
+    # gamma = Aq^2 + Bq^2 - 1, Aq = -vr0 p / (vt0 r0), Bq = p / r0 - 1
+    @cached_property
+    def Aq(self):
+        return self.q2 * self.epoch.cos - self.q1 * self.epoch.sin
 
     @cached_property
-    def kappa0(self):
-        return self.kappa(self.theta0)
+    def Bq(self):
+        return self.q1 * self.epoch.cos + self.q2 * self.epoch.sin
 
     @cached_property
-    def r0(self):
-        """Chief radius at the epoch (km)."""
-        return self.p / self.kappa0
+    def Cq(self):
+        """h r0^2 / (a mu gamma)."""
+        return self.h * self.epoch.r**2 / (self.a * self.mu * self.gamma)
 
 
 class OrbitStateAtTheta(NamedTuple):
@@ -135,23 +148,6 @@ class OrbitStateAtTheta(NamedTuple):
     vr: object        # km/s, radial velocity rdot
     vt: object        # km/s, transverse velocity r*thetadot
     thetadot: object  # rad/s
-
-
-@dataclass(frozen=True)
-class Shorthands:
-    """Epoch shorthand quantities used throughout the constant-coefficient
-    reductions.
-
-    gamma = q1^2 + q2^2 - 1 = Aq^2 + Bq^2 - 1
-    Aq    = q2*cos(theta0) - q1*sin(theta0) = -vr0*p/(vt0*r0)
-    Bq    = q1*cos(theta0) + q2*sin(theta0) = p/r0 - 1
-    Cq    = h*r0^2 / (a*mu*gamma)
-    """
-
-    gamma: float
-    Aq: float
-    Bq: float
-    Cq: float
 
 
 def make_chief(a, e, inc, raan, argp, f0, mu=MU_EARTH):
@@ -193,17 +189,6 @@ def eval_at_theta(chief, theta):
         theta=theta, cos=ct, sin=st, kappa=kappa, r=r, vr=vr, vt=vt,
         thetadot=chief.h / r**2,
     )
-
-
-def shorthand_abc(chief):
-    """Epoch shorthands (gamma, Aq, Bq, Cq) for a chief orbit."""
-    c0 = math.cos(chief.theta0)
-    s0 = math.sin(chief.theta0)
-    gamma = chief.q1**2 + chief.q2**2 - 1.0
-    aq = chief.q2 * c0 - chief.q1 * s0
-    bq = chief.q1 * c0 + chief.q2 * s0
-    cq = chief.h * chief.r0**2 / (chief.a * chief.mu * gamma)
-    return Shorthands(gamma=gamma, Aq=aq, Bq=bq, Cq=cq)
 
 
 def _true_to_mean_unwrapped(e, f):

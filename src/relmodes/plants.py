@@ -79,7 +79,7 @@ def qns_plant_theta(chief, theta):
     """
     state = eval_at_theta(chief, theta)
     kappa, ct, st = state.kappa, state.cos, state.sin
-    eta2 = chief.eta**2
+    eta2 = -chief.gamma  # 1 - e^2
     a = np.zeros(kappa.shape + (6, 6))  # kappa has theta's shape
     a[..., 1, 0] = -1.5 / chief.a
     a[..., 1, 1] = 2.0 * (chief.q2 * ct - chief.q1 * st) / kappa
@@ -100,10 +100,8 @@ def gauss_rates(chief, theta, accel):
     under an LVLH-resolved perturbing acceleration (a_r, a_t, a_n) km/s^2.
     """
     a_r, a_t, a_n = accel
-    st = math.sin(theta)
-    ct = math.cos(theta)
     state = eval_at_theta(chief, theta)
-    r = state.r
+    r, ct, st = state.r, state.cos, state.sin
     h = chief.h
     p = chief.p
     q1 = chief.q1

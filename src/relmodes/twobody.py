@@ -21,7 +21,7 @@ def chief_inertial_state(chief, theta):
     state = eval_at_theta(chief, theta)
     ci, si = math.cos(chief.inc), math.sin(chief.inc)
     co, so = math.cos(chief.raan), math.sin(chief.raan)
-    ct, st = math.cos(theta), math.sin(theta)
+    ct, st = state.cos, state.sin
     # columns of R3(-raan) R1(-inc) applied to in-plane radial/transverse units
     u_r = np.array([co * ct - so * ci * st, so * ct + co * ci * st, si * st])
     u_t = np.array([-co * st - so * ci * ct, -so * st + co * ci * ct, si * ct])

@@ -10,13 +10,27 @@ from relmodes import (NearSingularMatrixError, cart_sph_linear_at,
                       modal_constants, modal_state_matrix, mode_trajectory,
                       no_drift_maneuver_line,
                       propagate_linear, psi_time_factory, rebase_chief,
-                      reconstruct, remap_epoch, shorthand_abc,
+                      reconstruct, remap_epoch,
                       stationary_plane, sweep_bounded_family, time_to_theta)
-from relmodes.plants import cartesian_plant_keplerian
+from relmodes.plants import cartesian_plant_keplerian, qns_plant_time
 
 from conftest import batch_grid, batch_vs_scalar_error, random_chief
 
 TWO_PI = 2.0 * math.pi
+
+
+def time_plant(chief, domain, theta):
+    """Time-domain plant in domain coordinates at theta. The local ones are
+    the element-difference plant carried through x = G(theta) dx, that is
+    (d/dt G + G A_q) G^-1, with dG/dtheta by complex step; the Cartesian
+    one is the Keplerian plant."""
+    if domain == "qns":
+        return qns_plant_time(chief, theta)
+    if domain == "cartesian":
+        return cartesian_plant_keplerian(chief, theta)
+    gc = geo_map(chief, theta + 1e-30j, domain)
+    g, g_dot = gc.real, eval_at_theta(chief, theta).thetadot * gc.imag / 1e-30
+    return (g_dot + g @ qns_plant_time(chief, theta)) @ np.linalg.inv(g)
 
 
 def bounded_state(chief, rng, scale=1e-5, domain="cartesian"):
@@ -229,6 +243,16 @@ class TestEpochRemap:
         assert np.allclose(back.c, c.c,
                            atol=1e-10 * np.max(np.abs(c.c)))
 
+    def test_qns_round_trip(self, generic_chief, rng):
+        doe = rng.standard_normal(6) * 1e-3
+        c = extract_constants(generic_chief, doe, generic_chief.theta0, "qns")
+        th1 = generic_chief.theta0 + 2.0
+        c1 = remap_epoch(generic_chief, c, th1)
+        back = remap_epoch(rebase_chief(generic_chief, th1), c1,
+                           generic_chief.theta0)
+        assert np.allclose(back.c, c.c,
+                           atol=1e-10 * np.max(np.abs(c.c)))
+
     def test_same_physical_trajectory(self, generic_chief, rng):
         chief = generic_chief
         c = modal_constants(chief, bounded_state(chief, rng, 2e-5),
@@ -278,7 +302,7 @@ class TestManeuverLine:
         st0 = eval_at_theta(molniya, molniya.theta0)
         assert d[1] / d[0] == pytest.approx(-st0.vr / st0.vt, rel=1e-12)
         assert d[1] / d[0] == pytest.approx(
-            shorthand_abc(molniya).Aq * st0.r / molniya.p, rel=1e-12)
+            molniya.Aq * st0.r / molniya.p, rel=1e-12)
 
     def test_on_line_impulse_preserves_boundedness(self, generic_chief, rng):
         chief = generic_chief
@@ -311,10 +335,9 @@ class TestStationaryPlane:
 
     def test_rf_matches_lti_columns(self, generic_chief):
         plane = stationary_plane(generic_chief)
-        sh = shorthand_abc(generic_chief)
         sys = lti_closed(generic_chief, "spherical")
         scale = np.max(np.abs(sys.R))
-        assert np.allclose(sys.R[:, 3], sh.Aq * plane.R_f,
+        assert np.allclose(sys.R[:, 3], generic_chief.Aq * plane.R_f,
                            atol=1e-12 * scale)
 
     def test_invariant_along_natural_flow(self, generic_chief, rng):
@@ -430,6 +453,28 @@ class TestConstantsDynamics:
         expect = np.linalg.solve(psi(10.0), delta_a @ x)
         assert np.allclose(rate, expect, rtol=1e-12)
 
+    @pytest.mark.parametrize("domain", ["qns", "cartesian", "spherical"])
+    def test_psi_time_is_theta_domain_matrix(self, generic_chief, domain):
+        # Psi(t) is a fundamental matrix: the theta-domain Psi at theta(t),
+        # and each column solves x' = A_t x
+        chief = generic_chief
+        psi = psi_time_factory(chief, domain)
+        h = 1e-4 * chief.period
+        for t in chief.period * np.array([0.3, 1.1, 2.2]):
+            th = time_to_theta(chief, t)
+            m = psi(t)
+            ref = modal_state_matrix(chief, domain, th)
+            assert np.max(np.abs(m - ref)) < 1e-12 * np.max(np.abs(ref))
+            # fourth-order central difference; each row of the residual is
+            # scaled by the largest term A_ij Psi_jk that feeds it
+            dm = (8.0 * (psi(t + h) - psi(t - h))
+                  - (psi(t + 2.0 * h) - psi(t - 2.0 * h))) / (12.0 * h)
+            a = time_plant(chief, domain, th)
+            res = np.abs(dm - a @ m)
+            row = np.max(np.abs(a)[:, :, None] * np.abs(m)[None], axis=(1, 2))
+            assert np.all(res[row == 0.0] == 0.0)
+            assert np.max(res[row > 0.0] / row[row > 0.0, None]) < 1e-9
+
     def test_extraction_inverts_reconstruction(self, generic_chief, rng):
         chief = generic_chief
         c0 = modal_constants(chief, bounded_state(chief, rng), "cartesian")
@@ -444,11 +489,10 @@ class TestCircularLimit:
         chief = make_chief(26600.0, 1e-4, math.radians(63.4), 0.0,
                            math.radians(270.0), math.radians(90.0))
         st0 = eval_at_theta(chief, chief.theta0)
-        sh = shorthand_abc(chief)
         x0 = np.array([0.05, 0.12, 0.0, 0.0, 0.0, 0.0])
         x0[4] = -(((chief.p / st0.r + 1.0) * (chief.p / st0.r)
                    * chief.n / chief.eta**3) * x0[0]
-                  + st0.vr / (st0.vt * sh.Cq) * x0[1]
+                  + st0.vr / (st0.vt * chief.Cq) * x0[1]
                   + st0.vr / st0.vt * x0[3])
         c = modal_constants(chief, x0, "cartesian")
         grid = chief.theta0 + np.linspace(0.0, TWO_PI, 720)

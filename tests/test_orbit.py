@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from relmodes import (MU_EARTH, ChiefOrbit, OrbitDefinitionError,
-                      eval_at_theta, make_chief, shorthand_abc, theta_to_time,
+                      eval_at_theta, make_chief, theta_to_time,
                       time_to_theta)
 from relmodes.floquet import qns_r21
 
@@ -41,16 +41,25 @@ class TestMakeChief:
         with pytest.raises(OrbitDefinitionError):
             make_chief(-26600.0, 0.1, 1.0, 0.0, 0.0, 0.0)
 
+    def test_one_minus_e2_has_one_formula(self):
+        # q1 = 0.7, q2 = 0: a (1 - q1^2 - q2^2) is 13566 exactly, while
+        # a*eta*eta rounds to 13565.999999999998
+        chief = make_chief(26600.0, 0.7, 1.0, 0.0, 0.0, 0.5)
+        direct = chief.a * (1.0 - chief.q1**2 - chief.q2**2)
+        assert chief.a * chief.eta * chief.eta != direct
+        assert chief.p == direct == 13566.0
+        assert -chief.gamma * chief.a == direct
 
     def test_replace_recomputes_derived_scalars(self, generic_chief):
-        for attr in ("p", "h", "f0", "kappa0", "r0"):
+        attrs = ("p", "h", "f0", "gamma", "epoch", "Aq", "Bq", "Cq")
+        for attr in attrs:
             getattr(generic_chief, attr)  # fill the source's cache
         other = dataclasses.replace(generic_chief, a=9000.0, q1=0.01,
                                     theta0=generic_chief.theta0 + 1.0)
         fresh = ChiefOrbit(a=9000.0, q1=0.01, q2=generic_chief.q2,
                            inc=generic_chief.inc, raan=generic_chief.raan,
                            theta0=generic_chief.theta0 + 1.0)
-        for attr in ("p", "h", "f0", "kappa0", "r0"):
+        for attr in attrs:
             assert getattr(other, attr) == getattr(fresh, attr)
             assert getattr(other, attr) != getattr(generic_chief, attr)
 
@@ -98,20 +107,18 @@ class TestEvalAtTheta:
 
 class TestShorthands:
     def test_molniya_values(self, molniya):
-        sh = shorthand_abc(molniya)
-        assert sh.Aq == pytest.approx(-0.74, rel=1e-13)
-        assert sh.Bq == pytest.approx(0.0, abs=1e-13)
-        assert sh.gamma == pytest.approx(-0.4524, rel=1e-13)
+        assert molniya.Aq == pytest.approx(-0.74, rel=1e-13)
+        assert molniya.Bq == pytest.approx(0.0, abs=1e-13)
+        assert molniya.gamma == pytest.approx(-0.4524, rel=1e-13)
 
     def test_circular_values(self):
-        sh = shorthand_abc(make_chief(9000.0, 0.0, 1.0, 0.5, 1.5, 2.5))
-        assert sh.Aq == 0.0 and sh.Bq == 0.0
-        assert sh.gamma == -1.0
+        chief = make_chief(9000.0, 0.0, 1.0, 0.5, 1.5, 2.5)
+        assert chief.Aq == 0.0 and chief.Bq == 0.0
+        assert chief.gamma == -1.0
 
     def test_aq_matches_velocity_ratio(self, generic_chief):
-        sh = shorthand_abc(generic_chief)
         st0 = eval_at_theta(generic_chief, generic_chief.theta0)
-        assert sh.Aq == pytest.approx(
+        assert generic_chief.Aq == pytest.approx(
             -st0.vr * generic_chief.p / (st0.vt * st0.r), rel=1e-12)
 
     def test_identities_over_random_chiefs(self, rng):
@@ -119,15 +126,14 @@ class TestShorthands:
         for _ in range(1000):
             chief = random_chief(rng, e_lo=0.001, e_hi=0.95,
                                  avoid_singular=False)
-            sh = shorthand_abc(chief)
-            assert sh.gamma == pytest.approx(sh.Aq**2 + sh.Bq**2 - 1.0,
-                                             rel=1e-12, abs=1e-12)
-            c_expect = (-(1.0 - sh.Aq**2 - sh.Bq**2) ** 1.5
-                        / ((sh.Bq + 1.0) ** 2 * chief.n))
-            assert sh.Cq == pytest.approx(c_expect, rel=1e-12)
-            scale = 2.0 * qns_r21(chief) * chief.a / sh.gamma
-            s_expect = (3.0 * (sh.Bq + 1.0) ** 2
-                        / (1.0 - sh.Aq**2 - sh.Bq**2) ** 2.5)
+            assert chief.gamma == pytest.approx(
+                chief.Aq**2 + chief.Bq**2 - 1.0, rel=1e-12, abs=1e-12)
+            c_expect = (-(1.0 - chief.Aq**2 - chief.Bq**2) ** 1.5
+                        / ((chief.Bq + 1.0) ** 2 * chief.n))
+            assert chief.Cq == pytest.approx(c_expect, rel=1e-12)
+            scale = 2.0 * qns_r21(chief) * chief.a / chief.gamma
+            s_expect = (3.0 * (chief.Bq + 1.0) ** 2
+                        / (1.0 - chief.Aq**2 - chief.Bq**2) ** 2.5)
             assert scale == pytest.approx(s_expect, rel=1e-12)
 
 
@@ -191,9 +197,10 @@ class TestTimeOfLatitude:
 def test_kappa_periodic_and_positive(e, argp, f0, frac):
     chief = make_chief(15000.0, e, 1.0, 0.0, argp, f0)
     th = chief.theta0 + frac * TWO_PI
-    k = chief.kappa(th)
+    k = eval_at_theta(chief, th).kappa
     assert k > 0.0
-    assert k == pytest.approx(chief.kappa(th + TWO_PI), rel=1e-12)
+    assert k == pytest.approx(eval_at_theta(chief, th + TWO_PI).kappa,
+                              rel=1e-12)
 
 
 @given(e=st.floats(0.0, 0.9), argp=st.floats(0.0, TWO_PI),
