@@ -31,9 +31,10 @@ from .numeric import (Eigenstructure, NumericFloquetResult,
                       numeric_modal_decomp, real_matrix_log)
 from .orbit import (MU_EARTH, ChiefOrbit, OrbitStateAtTheta, eval_at_theta,
                     make_chief, theta_to_time, time_to_theta)
-from .plants import (cartesian_plant_keplerian, cw_planar_plant,
-                     cw_plant_full, cw_stm_planar, gauss_rates,
-                     propagate_linear, qns_plant_theta, qns_plant_time)
+from .plants import (cartesian_plant_keplerian, cartesian_plant_theta,
+                     cw_planar_plant, cw_plant_full, cw_stm_planar,
+                     gauss_rates, propagate_linear, qns_plant_theta,
+                     qns_plant_time)
 from .twobody import (chief_inertial_state, deputy_from_relative,
                       lvlh_triad, nonlinear_relative_trajectory,
                       propagate_twobody, qns_elements_from_rv,

@@ -24,9 +24,10 @@ from .floquet import (ModalConstants, _lti_scale, drift_constant,
 from .geometry import geo_map
 from .modal import (extract_constants, modal_state_matrix, normalize_mode,
                     reconstruct, stationary_plane, sweep_bounded_family)
-from .numeric import liouville_determinant_check, numeric_modal_decomp
+from .numeric import (lf_from_monodromy, liouville_determinant_check,
+                      numeric_modal_decomp)
 from .orbit import eval_at_theta, theta_to_time, time_to_theta
-from .plants import cartesian_plant_keplerian, cw_plant_full, qns_plant_theta
+from .plants import cartesian_plant_theta, cw_plant_full, qns_plant_theta
 
 log = logging.getLogger("relmodes")
 
@@ -184,9 +185,10 @@ def cmd_floquet_numeric(args):
             np.array([0.0, 0.0, 1j * chief.n, -1j * chief.n,
                       1j * chief.n, -1j * chief.n]))}
     elif args.plant == "cartesian-keplerian":
-        plant = lambda t: cartesian_plant_keplerian(
-            chief, time_to_theta(chief, t))
-        t0, period = 0.0, chief.period
+        # integrated in theta, Phi' = (A / thetadot) Phi, with no Kepler
+        # solve inside the integration; _keplerian_in_time converts back
+        plant = partial(cartesian_plant_theta, chief)
+        t0, period = chief.theta0, 2.0 * math.pi
         lam_ana = lti_closed(chief, "cartesian", indep="time").R
         analytic = {"Lambda_analytic": rio.matrix_to_json(lam_ana)}
     elif args.plant == "qns":
@@ -199,32 +201,60 @@ def cmd_floquet_numeric(args):
     result = numeric_modal_decomp(plant, t0, period,
                                   n_harmonics=args.harmonics,
                                   n_samples=args.samples, tol=args.tol)
+    liouville = liouville_determinant_check(plant, t0, period,
+                                            result.monodromy)
+    if args.plant == "cartesian-keplerian":
+        t0, period = 0.0, chief.period
+        lam, eigenvalues, t_samples, lf_samples, defect = \
+            _keplerian_in_time(chief, result, args.samples)
+    else:
+        lam, eigenvalues = result.Lambda, result.eigenstructure.eigenvalues
+        t_samples, lf_samples = result.t_samples, result.lf_samples
+        defect = result.periodicity_defect
     payload = {
         "plant": args.plant,
         "t0": t0,
         "period": period,
-        "eigenvalues": rio.matrix_to_json(result.eigenstructure.eigenvalues),
+        "eigenvalues": rio.matrix_to_json(eigenvalues),
         "jordan_chains": [list(c) for c in result.eigenstructure.chains],
-        "Lambda": rio.matrix_to_json(result.Lambda),
+        "Lambda": rio.matrix_to_json(lam),
         "monodromy": rio.matrix_to_json(result.monodromy),
         "periodic_fit_residual": result.periodic_fit_residual,
-        "periodicity_defect": result.periodicity_defect,
-        "liouville_mismatch": liouville_determinant_check(
-            plant, t0, period, result.monodromy),
+        "periodicity_defect": defect,
+        "liouville_mismatch": liouville,
     }
     if analytic is not None:
         if "Lambda_analytic" in analytic:
             lam_ana = np.array(analytic["Lambda_analytic"])
             scale = np.max(np.abs(lam_ana))
             analytic["Lambda_max_rel_error"] = float(
-                np.max(np.abs(result.Lambda - lam_ana)) / scale)
+                np.max(np.abs(lam - lam_ana)) / scale)
         payload["analytic_comparison"] = analytic
     rio.write_json(os.path.join(args.out, "floquet_numeric.json"), payload)
-    _write_lf_csv(os.path.join(args.out, "lf_samples.csv"),
-                  result.t_samples, result.lf_samples)
-    log.info("numeric pipeline complete; defect %.3e",
-             result.periodicity_defect)
+    _write_lf_csv(os.path.join(args.out, "lf_samples.csv"), t_samples,
+                  lf_samples)
+    log.info("numeric pipeline complete; defect %.3e", defect)
     return 0
+
+
+def _keplerian_in_time(chief, result, n_samples):
+    """The theta-domain reduction of the Cartesian Keplerian plant in
+    time. The monodromy over theta0 -> theta0 + 2 pi is the one over
+    0 -> T, so Lambda_t = Lambda_theta 2 pi / T, the exponents scale alike
+    with the same V and chains, and P(t) = Phi(theta(t)) exp(-Lambda_t t)
+    on the uniform grid t_k = k T / n_samples.
+
+    Returns (Lambda_t, eigenvalues, t_samples, lf_samples, defect).
+    """
+    scale = 2.0 * math.pi / chief.period
+    times = np.linspace(0.0, chief.period, n_samples + 1)
+    thetas = time_to_theta(chief, times)
+    thetas[0], thetas[-1] = chief.theta0, chief.theta0 + 2.0 * math.pi
+    lam = result.Lambda * scale
+    lf_samples, defect = lf_from_monodromy(
+        times, result.stm_at(thetas), lam, 0.0, result.nilpotent_index)
+    return (lam, result.eigenstructure.eigenvalues * scale, times,
+            lf_samples, defect)
 
 
 def _suite_quadrature(chief):

@@ -6,12 +6,15 @@ near-periodic plant, and the first-order transform correction ODE.
 The matrix logarithm has a dedicated unipotent branch (truncated power
 series of log(I + N) for numerically nilpotent N) because monodromy
 matrices of the two-body problem are identity plus a defective nilpotent
-part, which generic eigendecomposition-based logs cannot handle.
+part, which generic eigendecomposition-based logs cannot handle. On that
+branch the reduced plant is nilpotent, so its exponential is a finite
+series too, and its eigenvalues are exactly zero.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -47,11 +50,17 @@ class NumericFloquetResult:
     monodromy: np.ndarray
     Lambda: np.ndarray
     t_samples: np.ndarray
-    lf_samples: np.ndarray       # (n, 6, 6) periodic transform samples
     eigenstructure: Eigenstructure
     periodic_fit_residual: float
     periodicity_defect: float    # ||P(t0+T) - I||_max
     stm_at: object               # dense Phi(t, t0) over the sampled period
+    nilpotent_index: object      # k of the unipotent log branch, else None
+
+    @cached_property
+    def lf_samples(self):
+        """(n, 6, 6) periodic transform samples on t_samples, evaluated on
+        first use."""
+        return self.lf_at(self.t_samples)
 
     def lf_at(self, t):
         """Periodic transform P(t) = Phi(t, t0) exp(-Lambda (t - t0)) for t
@@ -61,7 +70,8 @@ class NumericFloquetResult:
         t0, t1 = self.t_samples[0], self.t_samples[-1]
         t = np.asarray(t, dtype=float)
         t = np.where((t < t0) | (t > t1), t0 + np.mod(t - t0, t1 - t0), t)
-        return self.stm_at(t) @ expm(-self.Lambda * (t - t0)[..., None, None])
+        return self.stm_at(t) @ _exp_plant(self.Lambda, t0 - t,
+                                           self.nilpotent_index)
 
     def chain_propagator(self, dt):
         """exp(J dt) in the detected chain basis (block upper triangular)."""
@@ -139,15 +149,36 @@ def _nilpotent_index(n_mat):
     return None
 
 
+def _exp_plant(lam, s, nilpotent_index=None):
+    """exp(Lambda s) for a scalar or array s; shape s.shape + Lambda.shape.
+
+    A Lambda nilpotent of index k takes the finite sum of (Lambda s)^j / j!
+    over j < k, which is exact; any other Lambda takes scipy's expm.
+    """
+    s = np.asarray(s, dtype=float)
+    if nilpotent_index is None:
+        return expm(lam * s[..., None, None])
+    k = nilpotent_index
+    powers = [np.eye(lam.shape[0])]
+    for _ in range(1, k):
+        powers.append(powers[-1] @ lam)
+    coef = s[..., None] ** np.arange(k) / [math.factorial(j) for j in range(k)]
+    return (coef @ np.reshape(powers, (k, -1))).reshape(s.shape + lam.shape)
+
+
 def real_matrix_log(m, period=1.0):
     """Real logarithm of a monodromy matrix, scaled by 1/period.
 
+    Returns (log(M) / period, k), with k the nilpotency index of M - I on
+    the unipotent branch and None on the other.
+
     Unipotent matrices (all eigenvalues 1, M - I numerically nilpotent)
     take the truncated series log(I+N) = N - N^2/2 + ..., which is exact
-    at the nilpotency index; everything else goes through the inverse
-    scaling-and-squaring Pade logarithm. Eigenvalues on the closed
-    negative real axis have no real logarithm and raise with a
-    period-doubling hint.
+    at the nilpotency index; the log is then nilpotent of the same index,
+    so the round-trip check takes its exponential as the finite series.
+    Everything else goes through the inverse scaling-and-squaring Pade
+    logarithm, checked by expm. Eigenvalues on the closed negative real
+    axis have no real logarithm and raise with a period-doubling hint.
     """
     m = np.asarray(m, dtype=float)
     eigs = np.linalg.eigvals(m)
@@ -163,6 +194,12 @@ def real_matrix_log(m, period=1.0):
         for j in range(1, k):
             power = power @ n_mat
             log_m += (-1.0) ** (j + 1) / j * power
+        # log_m is nilpotent of index k too, so its exponential is the
+        # finite series, and the tail that series drops starts at N^k,
+        # which _nilpotent_index bounds by _NILPOTENT_TOL ||N||^k. expm
+        # would square up a matrix of norm ||N|| (2e6 in km, km/s units
+        # at e = 0.9) and lose 1e-7 of it to rounding
+        check = _exp_plant(log_m, 1.0, k)
     else:
         on_negative_axis = (np.real(eigs) < 0.0) & (
             np.abs(np.imag(eigs)) <= 1e-12 * np.abs(eigs))
@@ -179,27 +216,29 @@ def real_matrix_log(m, period=1.0):
         if np.max(np.abs(np.imag(log_c))) > 1e-8 * max(1.0, np.max(np.abs(log_c))):
             raise MatrixLogError("matrix logarithm is not real")
         log_m = np.real(log_c)
+        check = expm(log_m)
 
-    check = expm(log_m)
     err = np.linalg.norm(check - m) / max(1.0, np.linalg.norm(m))
     if err > _EXP_CHECK_TOL:
         raise MatrixLogError(
             f"log/exp round trip failed: relative error {err:.3e}"
         )
-    return log_m / period
+    return log_m / period, k
 
 
-def lf_from_monodromy(t_samples, stm_samples, lam, t0=None):
+def lf_from_monodromy(t_samples, stm_samples, lam, t0=None,
+                      nilpotent_index=None):
     """Periodic transform samples P(t) = Phi(t, t0) exp(-Lambda (t - t0)).
 
+    nilpotent_index is the k that real_matrix_log returned with Lambda.
     Returns (lf_samples, periodicity_defect) where the defect is the
     max-abs deviation of the final sample from identity.
     """
     t_samples = np.asarray(t_samples, dtype=float)
     if t0 is None:
         t0 = t_samples[0]
-    out = np.asarray(stm_samples, dtype=float) @ expm(
-        -lam * (t_samples - t0)[:, None, None])
+    out = np.asarray(stm_samples, dtype=float) @ _exp_plant(
+        lam, t0 - t_samples, nilpotent_index)
     defect = float(np.max(np.abs(out[-1] - np.eye(out.shape[1]))))
     return out, defect
 
@@ -280,7 +319,7 @@ def _null_space(mat, tol, max_dim=None):
     return vh[rank:].conj().T
 
 
-def detect_eigenstructure(lam):
+def detect_eigenstructure(lam, nilpotent=False):
     """Eigenvalues of a real matrix with repeated/defective eigenvalues
     clustered and resolved into Jordan chains.
 
@@ -289,22 +328,31 @@ def detect_eigenstructure(lam):
     1e-6 * ||balanced|| are merged to their mean, and chains come from
     the null spaces of increasing powers of (Lambda - lambda I), ranks by
     SVD. Eigenvectors are mapped back to the original scaling.
+
+    A matrix known to be nilpotent (the log of a unipotent monodromy) is
+    one cluster at exactly 0: eigvals would split its defective zero by
+    the square root of the rounding (1.6e-6 relative on some chiefs),
+    past any cluster tolerance, while the ranks of its powers still show
+    the chains plainly.
     """
     lam = np.asarray(lam, dtype=float)
     n = lam.shape[0]
     bal, t_bal = matrix_balance(lam)  # lam = t_bal @ bal @ inv(t_bal)
     scale = max(np.linalg.norm(bal), 1e-300)
     cluster_tol = _CLUSTER_TOL * scale
-    raw = np.linalg.eigvals(bal)
-    raw = raw[np.lexsort((np.imag(raw), np.real(raw)))]
-    clusters = []
-    for ev in raw:
-        for cl in clusters:
-            if abs(ev - np.mean(cl)) <= max(cluster_tol, 1e-12):
-                cl.append(ev)
-                break
-        else:
-            clusters.append([ev])
+    if nilpotent:
+        clusters = [[0.0] * n]
+    else:
+        raw = np.linalg.eigvals(bal)
+        raw = raw[np.lexsort((np.imag(raw), np.real(raw)))]
+        clusters = []
+        for ev in raw:
+            for cl in clusters:
+                if abs(ev - np.mean(cl)) <= max(cluster_tol, 1e-12):
+                    cl.append(ev)
+                    break
+            else:
+                clusters.append([ev])
 
     rank_tol = max(cluster_tol, 1e-12 * scale)
     columns = []
@@ -383,10 +431,13 @@ def numeric_modal_decomp(plant_fn, t0, period, n_harmonics=32,
     is purely diagnostic; near-periodic plants are replaced by their
     periodic trigonometric fit, whose leftover is the discarded
     aperiodic content (must stay under max_fit_residual of the plant
-    scale). plant_fn is called on one scalar t at a time.
+    scale). plant_fn is called once on the whole sample grid, where it
+    returns a (n_samples, d, d) stack or, for a constant plant, one
+    (d, d) matrix, and on one scalar t at a time inside the integration.
     """
     grid = t0 + period * np.arange(n_samples) / n_samples
-    values = np.array([plant_fn(t) for t in grid], dtype=float)
+    values = np.asarray(plant_fn(grid), dtype=float)
+    values = np.broadcast_to(values, grid.shape + values.shape[-2:])
     fit, residual = fourier_periodic_fit(values, t0, period, n_harmonics)
     scale = max(float(np.max(np.abs(values))), 1e-300)
     # periodicity test: does the plant return to its initial value after
@@ -399,16 +450,18 @@ def numeric_modal_decomp(plant_fn, t0, period, n_harmonics=32,
             f"{residual:.3e} exceeds {max_fit_residual:.1e} of scale {scale:.3e}"
         )
     integrand = fit if use_fit else plant_fn
-    monodromy, ts, stm, stm_at = integrate_stm(integrand, t0, period, tol=tol,
-                                               n_samples=n_samples + 1)
-    lam = real_matrix_log(monodromy, period)
-    lf_samples, defect = lf_from_monodromy(ts, stm, lam, t0)
-    eig = detect_eigenstructure(lam)
+    monodromy, ends, stm_ends, stm_at = integrate_stm(integrand, t0, period,
+                                                      tol=tol)
+    lam, k = real_matrix_log(monodromy, period)
+    # the transform samples are left to first use: a caller that wants
+    # them on another grid evaluates stm_at there instead
+    _, defect = lf_from_monodromy(ends, stm_ends, lam, t0, k)
+    eig = detect_eigenstructure(lam, nilpotent=k is not None)
     return NumericFloquetResult(
-        monodromy=monodromy, Lambda=lam, t_samples=ts,
-        lf_samples=lf_samples, eigenstructure=eig,
-        periodic_fit_residual=residual, periodicity_defect=defect,
-        stm_at=stm_at,
+        monodromy=monodromy, Lambda=lam,
+        t_samples=np.linspace(t0, t0 + period, n_samples + 1),
+        eigenstructure=eig, periodic_fit_residual=residual,
+        periodicity_defect=defect, stm_at=stm_at, nilpotent_index=k,
     )
 
 

@@ -244,13 +244,51 @@ def theta_to_time(chief, theta):
     return (m - m0) / chief.n
 
 
+def _remainder_2pi(x):
+    """math.remainder(x, 2*pi) and its quotient on an array: fmod is exact,
+    and so is the shift of its result into [-pi, pi] (Sterbenz)."""
+    r = np.fmod(x, _TWO_PI)
+    r = np.where(r > math.pi, r - _TWO_PI,
+                 np.where(r < -math.pi, r + _TWO_PI, r))
+    return r, np.rint((x - r) / _TWO_PI)
+
+
+def _solve_kepler_array(m, e):
+    """_solve_kepler on an array of mean anomalies: one Newton iteration
+    over the whole array, each element stopped where the scalar one
+    stops."""
+    m_mod, k = _remainder_2pi(m)
+    big_e = m_mod + 0.85 * e * np.copysign(1.0, np.sin(m_mod))
+    active = np.ones(big_e.shape, dtype=bool)
+    for _ in range(_KEPLER_MAX_ITER):
+        delta = (big_e - e * np.sin(big_e) - m_mod) / (1.0 - e * np.cos(big_e))
+        big_e = np.where(active, big_e - delta, big_e)
+        active &= np.abs(delta) >= _KEPLER_TOL
+        if not active.any():
+            return big_e + _TWO_PI * k
+    raise KeplerConvergenceError(
+        f"Kepler iteration did not converge for e={e!r}")
+
+
 def time_to_theta(chief, t):
-    """Unwrapped argument of latitude at time t since epoch (s)."""
+    """Unwrapped argument of latitude at time t since epoch (s); t is a
+    scalar or an array, and the result has its shape.
+
+    A Python float takes a scalar path in math: it runs inside ODE
+    right-hand sides, where numpy's per-call overhead costs several times
+    the arithmetic.
+    """
     e = chief.e
-    m = _true_to_mean_scalar(e, chief.f0) + chief.n * t
-    big_e = _solve_kepler(m, e)
-    e_mod = math.remainder(big_e, _TWO_PI)
-    k = round((big_e - e_mod) / _TWO_PI)
-    f = 2.0 * math.atan2(math.sqrt(1.0 + e) * math.sin(0.5 * e_mod),
-                         math.sqrt(1.0 - e) * math.cos(0.5 * e_mod))
+    m0 = _true_to_mean_scalar(e, chief.f0)
+    if isinstance(t, (float, int)):
+        big_e = _solve_kepler(m0 + chief.n * t, e)
+        e_mod = math.remainder(big_e, _TWO_PI)
+        k = round((big_e - e_mod) / _TWO_PI)
+        f = 2.0 * math.atan2(math.sqrt(1.0 + e) * math.sin(0.5 * e_mod),
+                             math.sqrt(1.0 - e) * math.cos(0.5 * e_mod))
+        return f + _TWO_PI * k + chief.argp
+    big_e = _solve_kepler_array(m0 + chief.n * np.asarray(t, dtype=float), e)
+    e_mod, k = _remainder_2pi(big_e)
+    f = 2.0 * np.arctan2(math.sqrt(1.0 + e) * np.sin(0.5 * e_mod),
+                         math.sqrt(1.0 - e) * np.cos(0.5 * e_mod))
     return f + _TWO_PI * k + chief.argp

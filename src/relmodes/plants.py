@@ -4,7 +4,8 @@ Three plants are provided:
 
 * the classical constant planar plant for a circular chief
   (state x, y, xdot, ydot in the rotating LVLH frame),
-* the two-body LVLH Cartesian plant for an eccentric chief (time domain),
+* the two-body LVLH Cartesian plant for an eccentric chief, with time or
+  the argument of latitude as independent variable,
 * the quasi-nonsingular element-difference plant with the argument of
   latitude as independent variable (only the delta-theta row is nonzero).
 
@@ -155,6 +156,14 @@ def cartesian_plant_keplerian(chief, theta):
     a[..., 3, 4] = 2.0 * td
     a[..., 4, 3] = -2.0 * td
     return a
+
+
+def cartesian_plant_theta(chief, theta):
+    """Two-body LVLH Cartesian plant with the argument of latitude as
+    independent variable: the time-domain plant divided by thetadot, for
+    a scalar or array theta."""
+    thetadot = eval_at_theta(chief, theta).thetadot
+    return cartesian_plant_keplerian(chief, theta) / thetadot[..., None, None]
 
 
 def propagate_linear(plant_fn, state0, span, steps, rtol=DEFAULT_RTOL,

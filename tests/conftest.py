@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from relmodes import eval_at_theta, make_chief
+from relmodes import cartesian_plant_theta, make_chief
 from relmodes.io import chief_from_config
-from relmodes.plants import cartesian_plant_keplerian
 
 
 @pytest.fixture
@@ -71,8 +70,7 @@ def integrate_cartesian(chief, x0, thetas):
     in the argument of latitude by DOP853 at rtol 1e-13, sampled at the
     increasing thetas (thetas[0] = theta0)."""
     def rhs(th, x):
-        return (cartesian_plant_keplerian(chief, th) @ x
-                / eval_at_theta(chief, th).thetadot)
+        return cartesian_plant_theta(chief, th) @ x
 
     sol = solve_ivp(rhs, (thetas[0], thetas[-1]), np.asarray(x0, dtype=float),
                     method="DOP853", t_eval=thetas, rtol=1e-13, atol=1e-20)

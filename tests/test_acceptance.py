@@ -143,7 +143,7 @@ def test_criterion_04_oracle_propagation():
     worst_lin = 0.0
     worst_nl = 0.0
     t_grid = np.linspace(0.0, chief.period, 60)
-    thetas = np.array([time_to_theta(chief, t) for t in t_grid])
+    thetas = time_to_theta(chief, t_grid)
     for k in range(20):
         x0 = bounded_cartesian_state(chief, rng, 2e-5)
         c = modal_constants(chief, x0, "cartesian")

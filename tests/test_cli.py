@@ -9,7 +9,7 @@ import pytest
 from relmodes.cli import build_parser, main
 from relmodes.io import (chief_from_config, qns_diff_from_classical,
                          read_trajectory_csv, write_trajectory_csv)
-from relmodes import extract_constants
+from relmodes import extract_constants, lf_transform, time_to_theta
 
 from conftest import SINGULAR_ORBITS
 
@@ -252,6 +252,43 @@ class TestFloquetNumericCommand:
         payload = json.load(open(os.path.join(out, "floquet_numeric.json")))
         assert payload["analytic_comparison"]["Lambda_max_rel_error"] < 1e-6
         assert payload["liouville_mismatch"] < 1e-6
+
+
+    @pytest.mark.parametrize("orbit", [
+        MOLNIYA_ORBIT, dict(MOLNIYA_ORBIT, raan_deg=math.degrees(0.3),
+                            argp_deg=215.0, f0_deg=40.0)],
+        ids=["molniya", "generic"])
+    def test_cartesian_keplerian_samples_match_closed_form(self, tmp_path,
+                                                           orbit):
+        """Integrated in theta, written on the uniform time grid: the
+        samples meet the closed-form time-domain transform."""
+        cfg = write_config(tmp_path, {"orbit": orbit})
+        out = str(tmp_path / "out")
+        assert main(["floquet-num", "--config", cfg, "--out", out]) == 0
+        payload = json.load(open(os.path.join(out, "floquet_numeric.json")))
+        chief = chief_from_config(orbit)
+        assert payload["t0"] == 0.0 and payload["period"] == chief.period
+        assert payload["analytic_comparison"]["Lambda_max_rel_error"] < 1e-12
+        with open(os.path.join(out, "lf_samples.csv"), newline="") as fh:
+            rows = np.array([[float(v) for v in row]
+                             for row in list(csv.reader(fh))[1:]])
+        t = rows[:, 0]
+        np.testing.assert_allclose(t, np.linspace(0.0, chief.period, 1025),
+                                   rtol=1e-14, atol=0.0)
+        pa = lf_transform(chief, "cartesian", time_to_theta(chief, t),
+                          indep="time")
+        err = np.max(np.abs(rows[:, 1:].reshape(-1, 6, 6) - pa))
+        assert err < 1e-9 * np.max(np.abs(pa))
+
+    def test_cartesian_keplerian_at_e_095(self, tmp_path):
+        orbit = dict(MOLNIYA_ORBIT, e=0.95, raan_deg=math.degrees(0.3),
+                     argp_deg=215.0, f0_deg=40.0)
+        cfg = write_config(tmp_path, {"orbit": orbit})
+        out = str(tmp_path / "out")
+        assert main(["floquet-num", "--config", cfg, "--out", out]) == 0
+        payload = json.load(open(os.path.join(out, "floquet_numeric.json")))
+        assert payload["analytic_comparison"]["Lambda_max_rel_error"] < 1e-9
+        assert payload["jordan_chains"] == [[0, 1], [2], [3], [4], [5]]
 
 
 class TestValidateCommand:

@@ -10,13 +10,13 @@ import os
 import numpy as np
 import pytest
 
-from relmodes import (ModalConstants, modal_constants,
+from relmodes import (ModalConstants, cartesian_plant_theta,
+                      lf_from_monodromy, modal_constants,
                       modal_state_matrix, mode_trajectory,
                       numeric_modal_decomp, reconstruct, state_transition,
                       sweep_bounded_family, theta_to_time, time_to_theta)
 from relmodes.cli import main
 from relmodes.io import STATE_COLUMNS, chief_from_config, write_csv_table
-from relmodes.plants import cartesian_plant_keplerian
 
 GENERIC_ORBIT = {"a_km": 26600.0, "e": 0.74, "i_deg": 63.4,
                  "raan_deg": math.degrees(0.3), "argp_deg": 215.0,
@@ -148,9 +148,16 @@ class TestCommandCsvs:
         out = self.run(tmp_path, generic_config, "floquet-num", "--plant",
                        "cartesian-keplerian", "--samples", "256")
         chief = chief_from_config(GENERIC_ORBIT)
+        # integrated in theta, sampled on the uniform time grid
         res = numeric_modal_decomp(
-            lambda t: cartesian_plant_keplerian(chief, time_to_theta(chief, t)),
-            0.0, chief.period, n_samples=256)
+            lambda th: cartesian_plant_theta(chief, th), chief.theta0,
+            2.0 * math.pi, n_samples=256)
+        times = np.linspace(0.0, chief.period, 257)
+        thetas = time_to_theta(chief, times)
+        thetas[0], thetas[-1] = chief.theta0, chief.theta0 + 2.0 * math.pi
+        lam = res.Lambda * (2.0 * math.pi / chief.period)
+        lf, _ = lf_from_monodromy(times, res.stm_at(thetas), lam, 0.0,
+                                  res.nilpotent_index)
         self.assert_same(tmp_path, out, "lf_samples.csv", lambda p:
                          reference_csv(p, LF_HEADER, np.column_stack(
-                             [res.t_samples, res.lf_samples.reshape(-1, 36)])))
+                             [times, lf.reshape(-1, 36)])))

@@ -65,7 +65,7 @@ class TestReconstruct:
             c = modal_constants(chief, x0, "cartesian")
             grid_t, states = propagate_linear(plant, x0, (0.0, chief.period),
                                               80)
-            thetas = np.array([time_to_theta(chief, t) for t in grid_t])
+            thetas = time_to_theta(chief, grid_t)
             rec = reconstruct(chief, c, thetas, "cartesian")
             ps = np.max(np.linalg.norm(states[:, :3], axis=1))
             vs = np.max(np.linalg.norm(states[:, 3:], axis=1))
@@ -92,7 +92,7 @@ class TestReconstruct:
         plant = lambda t: cartesian_plant_keplerian(chief,
                                                     time_to_theta(chief, t))
         grid_t, states = propagate_linear(plant, x0, (0.0, chief.period), 60)
-        thetas = np.array([time_to_theta(chief, t) for t in grid_t])
+        thetas = time_to_theta(chief, grid_t)
         rec = reconstruct(chief, c, thetas, "cartesian")
         scale = np.max(np.linalg.norm(states[:, :3], axis=1))
         assert np.max(np.linalg.norm(rec[:, :3] - states[:, :3],

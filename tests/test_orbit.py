@@ -178,6 +178,21 @@ class TestTimeOfLatitude:
         assert ts[3] - ts[1] == pytest.approx(chief.period, rel=1e-12)
         assert ts[2] - ts[4] == pytest.approx(chief.period, rel=1e-12)
 
+    @pytest.mark.parametrize("e", [0.0, 0.05, 0.74, 0.95, 0.98])
+    def test_time_to_theta_array_matches_scalar(self, e):
+        """One vectorised Kepler solve on an array gives the stack of the
+        float calls to 4 ulp of the largest |theta|, over three periods
+        either side of the epoch."""
+        chief = make_chief(26600.0, e, math.radians(63.4), 0.3,
+                           math.radians(215.0), math.radians(40.0))
+        ts = chief.period * np.linspace(-3.0, 3.0, 1200)
+        ths = time_to_theta(chief, ts)
+        stack = np.array([time_to_theta(chief, t) for t in ts.tolist()])
+        assert ths.shape == ts.shape
+        ulp = np.spacing(np.max(np.abs(stack)))
+        assert np.max(np.abs(ths - stack)) <= 4.0 * ulp
+        assert time_to_theta(chief, ts.reshape(3, -1)).shape == (3, 400)
+
     def test_monotone(self, molniya):
         ths = molniya.theta0 + np.linspace(-2.0, 8.0, 200)
         ts = [theta_to_time(molniya, th) for th in ths]

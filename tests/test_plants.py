@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from relmodes import (InclinationSingularityError, cartesian_plant_keplerian,
-                      cw_planar_plant, cw_plant_full, cw_stm_planar,
-                      eval_at_theta, gauss_rates, make_chief, propagate_linear,
-                      qns_plant_theta, qns_plant_time, time_to_theta)
+                      cartesian_plant_theta, cw_planar_plant, cw_plant_full,
+                      cw_stm_planar, eval_at_theta, gauss_rates, make_chief,
+                      propagate_linear, qns_plant_theta, qns_plant_time,
+                      time_to_theta)
 from relmodes.geometry import g_cartesian, g_inverse
 from relmodes.twobody import (nonlinear_relative_rate,
                               nonlinear_relative_trajectory,
@@ -125,7 +126,8 @@ class TestQnsPlant:
 
 
 @pytest.mark.parametrize("plant", [qns_plant_theta, qns_plant_time,
-                                   cartesian_plant_keplerian])
+                                   cartesian_plant_keplerian,
+                                   cartesian_plant_theta])
 def test_array_matches_scalar(generic_chief, plant):
     grid = batch_grid(generic_chief)
     assert plant(generic_chief, grid).shape == (721, 6, 6)
