@@ -22,8 +22,8 @@ from .floquet import (ModalConstants, _lti_scale, drift_constant,
                       lf_defining_residual, lf_qns, lti_closed, lti_qns,
                       map_lti, modal_constants, qns_r21, state_transition)
 from .geometry import geo_map
-from .modal import (extract_constants, modal_state_matrix, normalize_mode,
-                    reconstruct, stationary_plane, sweep_bounded_family)
+from .modal import (modal_state_matrix, normalize_mode, reconstruct,
+                    stationary_plane, sweep_bounded_family)
 from .numeric import (lf_from_monodromy, liouville_determinant_check,
                       numeric_modal_decomp)
 from .orbit import eval_at_theta, theta_to_time, time_to_theta
@@ -95,10 +95,7 @@ def cmd_decompose(args):
     rep = rio.REP_ALIASES[args.rep]
     os.makedirs(args.out, exist_ok=True)
     state0 = _initial_state(cfg, chief, rep)
-    if rep == "qns":
-        constants = extract_constants(chief, state0, chief.theta0, rep)
-    else:
-        constants = modal_constants(chief, state0, rep)
+    constants = modal_constants(chief, state0, rep)
     grid = _theta_grid(chief, args.periods)
     times = theta_to_time(chief, grid)
     total = state_transition(chief, rep, grid) @ state0

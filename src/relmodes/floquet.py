@@ -12,7 +12,9 @@ Cartesian and spherical reductions follow by a similarity/congruence pair:
 
 All three constant plants share six zero eigenvalues with geometric
 multiplicity five (one 2-chain); the generalized direction carries the
-secular drift and its weight c6 is the boundedness condition.
+secular drift and its weight c6 is the boundedness condition. Each plant
+is rank one, R = v5 d^T: the drift column of V times the drift-weight row
+d of V^-1 that gives c6 = d @ x0.
 """
 
 import math
@@ -41,8 +43,6 @@ class LtiSystem:
     V: np.ndarray
     eigenvalues: np.ndarray
     chains: tuple
-    domain: str
-    indep: str        # "theta" | "time"
 
 
 @dataclass(frozen=True)
@@ -158,12 +158,6 @@ def lti_qns(chief, indep="theta"):
     return lti_closed(chief, "qns", indep)
 
 
-def _r_qns(chief):
-    r = np.zeros((6, 6))
-    r[1, 0] = qns_r21(chief)
-    return r
-
-
 def _v_qns(chief):
     # null directions ordered so that column 4 starts the drift 2-chain
     v = np.zeros((6, 6))
@@ -258,36 +252,6 @@ def _lti_scale(chief):
     return 2.0 * qns_r21(chief) * chief.a / chief.gamma
 
 
-def _r_cartesian(chief):
-    a_, b_, c_ = chief.Aq, chief.Bq, chief.Cq
-    m = np.array([
-        [a_ * (b_ + 2.0), a_**2, 0.0, a_**2 * c_, -a_ * (b_ + 1.0) * c_, 0.0],
-        [-(b_ + 1.0) * (b_ + 2.0), -a_ * (b_ + 1.0), 0.0,
-         -a_ * (b_ + 1.0) * c_, (b_ + 1.0) ** 2 * c_, 0.0],
-        [0.0] * 6,
-        [b_ * (b_ + 2.0) / c_, a_ * b_ / c_, 0.0, a_ * b_, -b_ * (b_ + 1.0), 0.0],
-        [a_ * (b_ + 2.0) / c_, a_**2 / c_, 0.0, a_**2, -a_ * (b_ + 1.0), 0.0],
-        [0.0] * 6,
-    ])
-    return _lti_scale(chief) * m
-
-
-def _r_spherical(chief):
-    a_, b_, c_ = chief.Aq, chief.Bq, chief.Cq
-    ga = chief.gamma * chief.a
-    m = np.array([
-        [a_ * (b_ + 2.0), 0.0, 0.0, a_**2 * c_, ga * a_ * c_, 0.0],
-        [(b_ + 1.0) ** 2 * (b_ + 2.0) / ga, 0.0, 0.0,
-         a_ * c_ * (b_ + 1.0) ** 2 / ga, (b_ + 1.0) ** 2 * c_, 0.0],
-        [0.0] * 6,
-        [b_ * (b_ + 2.0) / c_, 0.0, 0.0, a_ * b_, ga * b_, 0.0],
-        [-2.0 * a_ * (b_ + 1.0) * (b_ + 2.0) / (ga * c_), 0.0, 0.0,
-         -2.0 * a_**2 * (b_ + 1.0) / ga, -2.0 * a_ * (b_ + 1.0), 0.0],
-        [0.0] * 6,
-    ])
-    return _lti_scale(chief) * m
-
-
 def _v_cartesian(chief):
     a_, b_, c_ = chief.Aq, chief.Bq, chief.Cq
     s = _lti_scale(chief)
@@ -315,8 +279,6 @@ def _v_spherical(chief):
     ])
 
 
-_R_FORMS = {"qns": _r_qns, "cartesian": _r_cartesian,
-            "spherical": _r_spherical}
 _V_FORMS = {"qns": _v_qns, "cartesian": _v_cartesian,
             "spherical": _v_spherical}
 
@@ -340,20 +302,19 @@ def lti_closed(chief, domain, indep="theta"):
     """Closed-form reduced constant plant and its eigenvectors in the
     element-difference ("qns"), LVLH Cartesian or local spherical state.
 
-    The time-domain plant is n R; V is the theta-domain eigvecs_closed in
-    both, so with time as independent variable the chain reads
-    R v6 = n v5. R is regular at every epoch; the local V is singular
-    where e*sin(f0) = 0.
+    R = G0 (R21 e1 e0^T) G0^-1 has rank one: it is the drift column v5
+    times the drift row d (_drift_row), so R v6 = v5 and R vi = 0
+    otherwise. The time-domain plant is n R; V is the theta-domain
+    eigvecs_closed in both, so with time as independent variable the chain
+    reads R v6 = n v5. R is regular at every epoch; the local V is
+    singular where e*sin(f0) = 0.
     """
     v = eigvecs_closed(chief, domain)  # rejects an unknown domain
-    r = _R_FORMS[domain](chief)
+    r = np.outer(v[:, 4], _drift_row(chief, domain))
     if indep == "time":
         r = chief.n * r
-    return LtiSystem(
-        R=r, V=v, eigenvalues=np.zeros(6),
-        chains=((0,), (1,), (2,), (3,), (4, 5)),
-        domain=domain, indep=indep,
-    )
+    return LtiSystem(R=r, V=v, eigenvalues=np.zeros(6),
+                     chains=((0,), (1,), (2,), (3,), (4, 5)))
 
 
 def _balanced(v):
@@ -396,44 +357,58 @@ def check_regular_epoch(chief, domain):
         _balanced(eigvecs_closed(chief, "cartesian"))
 
 
-def drift_constant(chief, state0, domain):
-    """Weight c6 of the drift solution for an initial local state at
-    theta0 ("cartesian" or "spherical").
+def _drift_row(chief, domain):
+    """Drift-weight row d, row 6 of V^-1: c6 = d @ x0, and R = v5 d^T.
 
-    The printed formula is regular at every epoch, e*sin(f0) = 0 and e = 0
-    included. It vanishes exactly when the deputy's semimajor axis matches
-    the chief's, and the along-track rate (ydot, or theta_r dot) enters
-    it with unit weight.
+    In element differences it is e0 (c6 = delta-a). The local rows are
+    the printed formulas, regular at every epoch, e*sin(f0) = 0 and e = 0
+    included; the along-track rate (ydot, or theta_r dot) enters them
+    with unit weight.
     """
-    x0 = np.asarray(state0, dtype=float)
+    if domain == "qns":
+        return np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     r0, vr0, vt0 = chief.epoch.r, chief.epoch.vr, chief.epoch.vt
     p = chief.p
     if domain == "cartesian":
-        return float((p / r0 + 1.0) * (p / r0) * chief.n / chief.eta**3 * x0[0]
-                     + vr0 / (vt0 * chief.Cq) * x0[1]
-                     + vr0 / vt0 * x0[3] + x0[4])
+        return np.array([(p / r0 + 1.0) * (p / r0) * chief.n / chief.eta**3,
+                         vr0 / (vt0 * chief.Cq), 0.0, vr0 / vt0, 1.0, 0.0])
     if domain == "spherical":
-        return float(chief.mu / (chief.h * r0**2) * (1.0 + p / r0) * x0[0]
-                     + vr0 / (vt0 * r0) * x0[3] + x0[4])
+        return np.array([chief.mu / (chief.h * r0**2) * (1.0 + p / r0),
+                         0.0, 0.0, vr0 / (vt0 * r0), 1.0, 0.0])
     raise ValueError(f"unknown domain {domain!r}")
 
 
-def modal_constants(chief, state0, domain):
-    """Fundamental-solution weights for an initial local state at theta0,
-    from the printed closed forms.
+def drift_constant(chief, state0, domain):
+    """Weight c6 of the drift solution for an initial state at theta0
+    ("qns", "cartesian" or "spherical").
 
-    c1, c3 and c5 carry 1/vr0, and vr0 is proportional to e*sin(f0), where
-    the eigenvector matrix turns singular. There the weights are finite
-    but meaningless, and NearSingularMatrixError is raised (see
-    check_regular_epoch); state_transition propagates a state at every
-    epoch without them.
+    It is regular at every epoch and vanishes exactly when the deputy's
+    semimajor axis matches the chief's.
+    """
+    return float(_drift_row(chief, domain) @ np.asarray(state0, dtype=float))
+
+
+def modal_constants(chief, state0, domain):
+    """Fundamental-solution weights for an initial state at theta0, from
+    the printed closed forms.
+
+    In element differences V is a scaled permutation, so the weights are
+    the state's entries, delta-theta over R21, at every epoch. In local
+    coordinates c1, c3 and c5 carry 1/vr0, and vr0 is proportional to
+    e*sin(f0), where the eigenvector matrix turns singular. There the
+    weights are finite but meaningless, and NearSingularMatrixError is
+    raised (see check_regular_epoch); state_transition propagates a state
+    at every epoch without them.
     """
     x0 = np.asarray(state0, dtype=float)
     check_regular_epoch(chief, domain)
+    c6 = drift_constant(chief, x0, domain)  # rejects an unknown domain
     r0, vr0, vt0 = chief.epoch.r, chief.epoch.vr, chief.epoch.vt
     p, a, n, cq = chief.p, chief.a, chief.n, chief.Cq
-    c6 = drift_constant(chief, x0, domain)  # rejects an unknown domain
-    if domain == "cartesian":
+    if domain == "qns":
+        _, dth, di, dq1, dq2, draan = x0
+        c = np.array([di, dq1, dq2, draan, dth / qns_r21(chief), c6])
+    elif domain == "cartesian":
         x, y, z, xd, yd, zd = x0
         c = np.array([
             -vt0 / vr0 * x + y,

@@ -15,9 +15,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError
-from .floquet import (ModalConstants, _lti_scale, _qns_transition,
-                      balanced_solve, check_regular_epoch, drift_constant,
-                      eigvecs_closed, lf_transform, modal_constants,
+from .floquet import (ModalConstants, _drift_row, _lti_scale,
+                      _qns_transition, balanced_solve, check_regular_epoch,
+                      drift_constant, eigvecs_closed, modal_constants,
                       state_transition)
 from .geometry import g_inverse, geo_map
 from .orbit import eval_at_theta, time_to_theta
@@ -39,9 +39,6 @@ class StationaryPlane:
     alpha: float
     R_f: np.ndarray
     chi2_coeff: float
-
-    def rho_rate(self, rho):
-        return self.alpha * float(np.dot(rho, self.n_vec)) * self.zeta
 
     def chi2_rate(self, rho):
         return self.chi2_coeff * float(np.dot(rho, self.n_vec))
@@ -103,20 +100,15 @@ def reconstruct(chief, constants, theta, domain=None):
 
 
 def extract_constants(chief, state, theta, domain):
-    """Constants whose modal solution passes through `state` at theta.
-
-    At theta = theta0 this reduces to the balanced solve against V; the
-    closed-form route is modal_constants. Raises NearSingularMatrixError at
-    an epoch with e*sin(f0) ~ 0 (see check_regular_epoch).
+    """Constants whose modal solution passes through `state` at theta: the
+    closed-form weights (modal_constants) of the state carried back to
+    theta0 by the state transition of the chief rebased at theta. Raises
+    NearSingularMatrixError at an epoch with e*sin(f0) ~ 0 (see
+    check_regular_epoch).
     """
-    check_regular_epoch(chief, domain)
-    v = eigvecs_closed(chief, domain)
-    m = v.copy()
-    m[:, 5] += (theta - chief.theta0) * v[:, 4]
-    chi = np.linalg.solve(lf_transform(chief, domain, theta),
-                          np.asarray(state, dtype=float))
-    c = balanced_solve(m, chi)
-    return ModalConstants(c=c, domain=domain, theta0=chief.theta0)
+    phi = state_transition(rebase_chief(chief, theta), domain, chief.theta0)
+    return modal_constants(chief, phi @ np.asarray(state, dtype=float),
+                           domain)
 
 
 def mode_trajectory(chief, mode_index, theta_grid, domain, normalize=False):
@@ -174,34 +166,34 @@ def no_drift_maneuver_line(chief, theta=None):
 
 
 def stationary_plane(chief):
-    """Stationary-plane geometry of the reduced spherical coordinates."""
-    a_, b_, c_ = chief.Aq, chief.Bq, chief.Cq
+    """Stationary-plane geometry of the reduced spherical coordinates.
+
+    The spherical plant is R = v5 d^T, so the fields are read off the
+    drift column v5 and the drift row d, normalised by gamma a: R_f = v5 /
+    (gamma a) and n_vec = gamma a d over the active block.
+    """
     ga = chief.gamma * chief.a
     alpha = _lti_scale(chief)
-    n_vec = np.array([(b_ + 2.0) / c_, a_, ga])
-    zeta = np.array([a_ * c_, b_, -2.0 * a_ * (b_ + 1.0) / ga])
-    r_f = alpha * np.array([
-        a_ * c_, c_ * (b_ + 1.0) ** 2 / ga, 0.0,
-        b_, -2.0 * a_ * (b_ + 1.0) / ga, 0.0,
-    ])
-    chi2_coeff = alpha * c_ * (b_ + 1.0) ** 2 / ga
-    return StationaryPlane(n_vec=n_vec, zeta=zeta, alpha=alpha, R_f=r_f,
-                           chi2_coeff=chi2_coeff)
+    v5 = eigvecs_closed(chief, "spherical")[:, 4]
+    active = [0, 3, 4]
+    return StationaryPlane(
+        n_vec=ga * _drift_row(chief, "spherical")[active],
+        zeta=v5[active] / (alpha * ga), alpha=alpha, R_f=v5 / ga,
+        chi2_coeff=v5[1] / ga)
 
 
-def sweep_bounded_family(chief, x0, y0, xdot0_list, domain="cartesian"):
-    """Bounded planar trajectories through a fixed initial position.
+def sweep_bounded_family(chief, x0, y0, xdot0_list):
+    """Bounded planar trajectories through a fixed Cartesian position.
 
     For each radial rate in xdot0_list the along-track rate is chosen to
     zero the drift constant, which is affine in ydot0 with unit
     coefficient. Only c3 varies across the family; c1 and c5 are pinned
     by the anchor position.
     """
-    if domain != "cartesian":
-        raise ValueError("the family sweep anchors a Cartesian position")
     members = []
     for xd0 in xdot0_list:
-        yd0 = -drift_constant(chief, [x0, y0, 0.0, xd0, 0.0, 0.0], domain)
+        yd0 = -drift_constant(chief, [x0, y0, 0.0, xd0, 0.0, 0.0],
+                              "cartesian")
         state0 = np.array([x0, y0, 0.0, xd0, yd0, 0.0])
         constants = modal_constants(chief, state0, "cartesian")
         members.append(FamilyMember(xdot0=xd0, ydot0=yd0, state0=state0,

@@ -52,7 +52,7 @@ class NumericFloquetResult:
     t_samples: np.ndarray
     eigenstructure: Eigenstructure
     periodic_fit_residual: float
-    periodicity_defect: float    # ||P(t0+T) - I||_max
+    periodicity_defect: float    # see lf_from_monodromy
     stm_at: object               # dense Phi(t, t0) over the sampled period
     nilpotent_index: object      # k of the unipotent log branch, else None
 
@@ -231,15 +231,20 @@ def lf_from_monodromy(t_samples, stm_samples, lam, t0=None,
     """Periodic transform samples P(t) = Phi(t, t0) exp(-Lambda (t - t0)).
 
     nilpotent_index is the k that real_matrix_log returned with Lambda.
-    Returns (lf_samples, periodicity_defect) where the defect is the
-    max-abs deviation of the final sample from identity.
+    Returns (lf_samples, periodicity_defect). The defect is the largest
+    entry of |P(t_end) - I| over max(1, |M| |exp(-Lambda (t_end - t0))|),
+    M the final STM sample: each entry is measured against the size of
+    the products that form it, so entries in mixed units (km, km/s) read
+    at rounding when P is periodic.
     """
     t_samples = np.asarray(t_samples, dtype=float)
     if t0 is None:
         t0 = t_samples[0]
-    out = np.asarray(stm_samples, dtype=float) @ _exp_plant(
-        lam, t0 - t_samples, nilpotent_index)
-    defect = float(np.max(np.abs(out[-1] - np.eye(out.shape[1]))))
+    stm = np.asarray(stm_samples, dtype=float)
+    exp_neg = _exp_plant(lam, t0 - t_samples, nilpotent_index)
+    out = stm @ exp_neg
+    scale = np.maximum(1.0, np.abs(stm[-1]) @ np.abs(exp_neg[-1]))
+    defect = float(np.max(np.abs(out[-1] - np.eye(out.shape[1])) / scale))
     return out, defect
 
 

@@ -290,6 +290,17 @@ class TestFloquetNumericCommand:
         assert payload["analytic_comparison"]["Lambda_max_rel_error"] < 1e-9
         assert payload["jordan_chains"] == [[0, 1], [2], [3], [4], [5]]
 
+    def test_periodicity_defect_at_e_098(self, tmp_path):
+        # the raw max|P(T) - I| reads 8.8e-2 here, the rounding of N^2 in
+        # km and km/s entries; scaled per entry it reads at rounding
+        orbit = dict(MOLNIYA_ORBIT, e=0.98, raan_deg=math.degrees(0.3),
+                     argp_deg=215.0, f0_deg=40.0)
+        cfg = write_config(tmp_path, {"orbit": orbit})
+        out = str(tmp_path / "out")
+        assert main(["floquet-num", "--config", cfg, "--out", out]) == 0
+        payload = json.load(open(os.path.join(out, "floquet_numeric.json")))
+        assert payload["periodicity_defect"] < 1e-12
+
 
 class TestValidateCommand:
     def test_molniya_all_suites_pass(self, tmp_path):

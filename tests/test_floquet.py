@@ -341,6 +341,17 @@ class TestModalConstants:
             back = sys.V @ c
             assert np.allclose(back, x0, atol=1e-10 * np.max(np.abs(x0)))
 
+    def test_qns_weights_invert_v(self, rng):
+        # V_qns is a scaled permutation, regular at every epoch: the
+        # weights are the state's entries, delta-theta over R21
+        for _ in range(20):
+            chief = random_chief(rng, avoid_singular=False)
+            v = eigvecs_closed(chief, "qns")
+            doe = rng.standard_normal(6) * 1e-4
+            c = modal_constants(chief, doe, "qns").c
+            assert np.allclose(c, balanced_solve(v, doe), rtol=1e-14, atol=0)
+            assert np.allclose(v @ c, doe, rtol=1e-15, atol=0)
+
     def test_circular_limit_no_drift_constant(self):
         # at e = 0 the drift weight reduces to the circular-chief
         # no-drift combination 2 n x0 + ydot0 exactly

@@ -146,7 +146,11 @@ class TestLfFromMonodromy:
         series = stm @ (np.eye(6) - lam * ts[:, None, None])
         assert np.max(np.abs(samples - series)) <= 1e-15 * scale
         assert np.max(np.abs(samples - pa)) < 1e-9 * scale
-        assert defect == np.max(np.abs(samples[-1] - np.eye(6)))
+        # each entry of P(T) - I over the size of the products forming it
+        entry = np.maximum(1.0, np.abs(stm[-1])
+                           @ np.abs(np.eye(6) - lam * ts[-1]))
+        assert defect == pytest.approx(
+            np.max(np.abs(samples[-1] - np.eye(6)) / entry), rel=1e-12)
 
     def test_matches_closed_form_qns_transform(self, generic_chief):
         chief = generic_chief
