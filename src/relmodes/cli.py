@@ -289,7 +289,7 @@ def _suite_lti_mapping(chief):
     r_qns = lti_qns(chief).R
     resid = 0.0
     for domain in ("cartesian", "spherical"):
-        mapped = map_lti(geo_map(chief, chief.theta0, domain), r_qns)
+        mapped = map_lti(chief, domain, r_qns)
         closed = lti_closed(chief, domain).R
         resid = max(resid, float(np.max(np.abs(mapped - closed))
                                  / np.max(np.abs(closed))))

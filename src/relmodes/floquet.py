@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearSingularMatrixError
-from .geometry import g_inverse, geo_map
+from .geometry import drift_row, g_inverse, geo_map
 from .orbit import eval_at_theta, theta_to_time
 
 _CSTEP = 1e-30  # complex-step size of the residual diagnostics
@@ -188,10 +188,10 @@ def delta_theta_solution(chief, theta, da, dtheta0, dq1, dq2, dt=None):
 # change-of-basis theorems
 # ---------------------------------------------------------------------------
 
-def map_lti(g0, r):
+def map_lti(chief, domain, r):
     """Similarity transform G(theta0) R G(theta0)^-1 of a reduced constant
-    plant through the element-difference map at the epoch."""
-    return g0 @ r @ g_inverse(g0)
+    element-difference plant into `domain` coordinates."""
+    return _to_local(chief, domain, chief.theta0, r)
 
 
 def lf_transform(chief, domain, theta, indep="theta"):
@@ -199,10 +199,16 @@ def lf_transform(chief, domain, theta, indep="theta"):
     (scalar or array, real or complex).
 
     In local coordinates this is P_x(theta) = G(theta) P(theta)
-    G(theta0)^-1, with P the element-difference transform. Returns shape
-    theta.shape + (6, 6).
+    G(theta0)^-1, with P the element-difference transform, taken as I +
+    (G(theta) P(theta) - G(theta0)) G(theta0)^-1 so that P_x(theta0) = I
+    exactly, as P(theta0) is. Returns shape theta.shape + (6, 6).
     """
-    return _to_local(chief, domain, theta, lf_qns(chief, theta, indep))
+    p = lf_qns(chief, theta, indep)
+    if domain == "qns":
+        return p
+    g0 = geo_map(chief, chief.theta0, domain)
+    return np.eye(6) + (geo_map(chief, theta, domain) @ p - g0) \
+        @ g_inverse(chief, chief.theta0, domain)
 
 
 def state_transition(chief, domain, theta):
@@ -235,12 +241,12 @@ def _qns_transition(chief, theta):
 
 
 def _to_local(chief, domain, theta, m):
-    """G(theta) m G(theta0)^-1: a stack of element-difference propagators
-    in the requested coordinates."""
+    """G(theta) m G(theta0)^-1: a stack of element-difference matrices in
+    the requested coordinates."""
     if domain == "qns":
         return m
-    g0_inv = g_inverse(geo_map(chief, chief.theta0, domain))
-    return geo_map(chief, theta, domain) @ m @ g0_inv
+    return (geo_map(chief, theta, domain) @ m
+            @ g_inverse(chief, chief.theta0, domain))
 
 
 # ---------------------------------------------------------------------------
@@ -360,22 +366,12 @@ def check_regular_epoch(chief, domain):
 def _drift_row(chief, domain):
     """Drift-weight row d, row 6 of V^-1: c6 = d @ x0, and R = v5 d^T.
 
-    In element differences it is e0 (c6 = delta-a). The local rows are
-    the printed formulas, regular at every epoch, e*sin(f0) = 0 and e = 0
-    included; the along-track rate (ydot, or theta_r dot) enters them
-    with unit weight.
+    In element differences it is e0 (c6 = delta-a); the local rows are
+    geometry.drift_row at the epoch.
     """
     if domain == "qns":
         return np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    r0, vr0, vt0 = chief.epoch.r, chief.epoch.vr, chief.epoch.vt
-    p = chief.p
-    if domain == "cartesian":
-        return np.array([(p / r0 + 1.0) * (p / r0) * chief.n / chief.eta**3,
-                         vr0 / (vt0 * chief.Cq), 0.0, vr0 / vt0, 1.0, 0.0])
-    if domain == "spherical":
-        return np.array([chief.mu / (chief.h * r0**2) * (1.0 + p / r0),
-                         0.0, 0.0, vr0 / (vt0 * r0), 1.0, 0.0])
-    raise ValueError(f"unknown domain {domain!r}")
+    return drift_row(chief, chief.epoch, domain)
 
 
 def drift_constant(chief, state0, domain):

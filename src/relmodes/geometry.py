@@ -4,7 +4,8 @@ and the Cartesian <-> spherical local-coordinate conversions.
 The 6x6 maps take (da, dtheta, di, dq1, dq2, dOmega) to either the LVLH
 Cartesian state (x, y, z, xdot, ydot, zdot) or the local spherical state
 (dr, theta_r, phi_r, drdot, theta_r_dot, phi_r_dot). Both maps are
-orbit-periodic in theta, and their first and fourth rows coincide.
+orbit-periodic in theta, and their first and fourth rows coincide; their
+inverses (g_inverse) are closed form, singular only for equatorial chiefs.
 """
 
 import math
@@ -12,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearSingularMatrixError
-from .orbit import eval_at_theta
-
-_COND_MAX = 1e12
+from .errors import InclinationSingularityError
+from .orbit import _SIN_I_MIN, eval_at_theta
 
 
 @dataclass(frozen=True)
@@ -107,47 +106,68 @@ def geo_map(chief, theta, target):
     raise ValueError(f"unknown target {target!r}")
 
 
-def _equilibrate(mat):
-    """Row- then column-normalized copy of mat, with the row and column
-    norms that undo it (zero norms are taken as one).
-
-    The raw maps mix km, rad and their rates, so unscaled they mostly
-    measure units; equilibration leaves the geometric conditioning.
+def drift_row(chief, st, target):
+    """Drift-weight row d at the chief state(s) st (an OrbitStateAtTheta):
+    row 6 of V^-1 for the chief rebased to st.theta, so c6 = d @ x there.
+    The printed formulas, regular at every theta, e*sin(f) = 0 and e = 0
+    included; shape st.theta.shape + (6,).
     """
-    mat = np.asarray(mat, dtype=float)
-    r = np.linalg.norm(mat, axis=1)
-    r[r == 0.0] = 1.0
-    scaled = mat / r[:, None]
-    c = np.linalg.norm(scaled, axis=0)
-    c[c == 0.0] = 1.0
-    return scaled / c[None, :], r, c
+    r, vr, vt = st.r, st.vr, st.vt
+    p = chief.p
+    if target == "cartesian":
+        cq = chief.h * r**2 / (chief.a * chief.mu * chief.gamma)
+        row = [(p / r + 1.0) * (p / r) * chief.n / chief.eta**3,
+               vr / (vt * cq), 0.0, vr / vt, 1.0, 0.0]
+    elif target == "spherical":
+        row = [chief.mu / (chief.h * r**2) * (1.0 + p / r),
+               0.0, 0.0, vr / (vt * r), 1.0, 0.0]
+    else:
+        raise ValueError(f"unknown target {target!r}")
+    return _assemble([row], np.asarray(st.theta))[..., 0, :]
 
 
-def equilibrated_cond(mat):
-    """Condition number after row/column equilibration."""
-    return np.linalg.cond(_equilibrate(mat)[0])
+def g_inverse(chief, theta, target):
+    """Inverse of geo_map(chief, theta, target) in closed form, for a
+    scalar or array theta; shape theta.shape + (6, 6).
 
-
-def g_inverse(g):
-    """Numeric inverse of one element-difference map, rejecting
-    near-singular maps.
-
-    Inverts the row/column-equilibrated matrix so the mixed units do not
-    degrade the factorization, then undoes the scaling.
+    Row k is the variation of element k with dr = (x, y, z) and the
+    inertial dv = (xdot - thetadot y, ydot + thetadot x, zdot): delta-a
+    (vis-viva) is s d with d the drift row; delta-i and delta-Omega turn
+    the orbit normal by dr x v + r x dv; delta-theta is y/r less the node
+    shift cos(i) delta-Omega; (delta-q1, delta-q2) is the eccentricity
+    vector's, rotated by -theta, plus the node shift. Spherical rows read
+    the Cartesian state through L^-1. Raises InclinationSingularityError
+    for an equatorial chief, where delta-Omega is undefined.
     """
-    g = np.asarray(g, dtype=float)
-    scaled, r, c = _equilibrate(g)
-    cond = np.linalg.cond(scaled)
-    if not np.isfinite(cond) or cond > _COND_MAX:
-        raise NearSingularMatrixError(
-            f"element-difference map is near singular "
-            f"(equilibrated cond={cond:.3e})"
-        )
-    inv = (np.linalg.inv(scaled) / r[None, :]) / c[:, None]
-    # one step of iterative refinement: the periodic transforms built on
-    # this inverse must return identity at the epoch to ~1e-12
-    inv = inv + inv @ (np.eye(g.shape[0]) - g @ inv)
-    return inv
+    si = math.sin(chief.inc)
+    if abs(si) < _SIN_I_MIN:
+        raise InclinationSingularityError(
+            "equatorial chief: node undefined, so the element-difference "
+            "map is singular")
+    theta = np.asarray(theta)
+    st = eval_at_theta(chief, theta)
+    r, vr, vt, td, ct, s_t = (np.asarray(v)[..., None] for v in (
+        st.r, st.vr, st.vt, st.thetadot, st.cos, st.sin))
+    # s = 2 a^2 p / (h r), or 2 a^2 p / h for the spherical drift row
+    s_da = 2.0 * chief.a**2 * chief.p / chief.h
+    da = (s_da / r if target == "cartesian" else s_da) \
+        * drift_row(chief, st, target)  # rejects an unknown target
+    # the Cartesian state in target coordinates, one coefficient row each
+    x, y, z, xd, yd, zd = e = np.eye(6)
+    if target == "spherical":
+        y, z, yd, zd = r * e[1], r * e[2], vr * e[1] + r * e[4], \
+            vr * e[2] + r * e[5]
+    h, mu, ci = chief.h, chief.mu, math.cos(chief.inc)
+    dvx, dvy = xd - td * y, yd + td * x
+    dh_n = vt * x - vr * y + r * dvy  # normal part of d(r x v)
+    draan = (r * s_t * zd - (vt * ct + vr * s_t) * z) / (h * si)
+    di = (r * ct * zd + (vt * s_t - vr * ct) * z) / h
+    de_r = (h * dvy + vt * dh_n) / mu
+    de_t = -(h * dvx + vr * dh_n) / mu - y / r
+    return np.stack([da, y / r - ci * draan, di,
+                     ct * de_r - s_t * de_t + ci * chief.q2 * draan,
+                     s_t * de_r + ct * de_t - ci * chief.q1 * draan,
+                     draan], axis=-2)
 
 
 def cart_to_sph(chief_radius, chief_rdot, state):
@@ -203,22 +223,10 @@ def cart_sph_linear(chief_radius, chief_rdot):
     rc, rcd = chief_radius, chief_rdot
     if not rc > 0:
         raise ValueError("chief radius must be positive")
-    fwd = np.array([
-        [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0 / rc, 0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0 / rc, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
-        [0.0, -rcd / rc**2, 0.0, 0.0, 1.0 / rc, 0.0],
-        [0.0, 0.0, -rcd / rc**2, 0.0, 0.0, 1.0 / rc],
-    ])
-    inv = np.array([
-        [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [0.0, rc, 0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, rc, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
-        [0.0, rcd, 0.0, 0.0, rc, 0.0],
-        [0.0, 0.0, rcd, 0.0, 0.0, rc],
-    ])
+    fwd = np.diag([1.0, 1.0 / rc, 1.0 / rc, 1.0, 1.0 / rc, 1.0 / rc])
+    fwd[4, 1] = fwd[5, 2] = -rcd / rc**2
+    inv = np.diag([1.0, rc, rc, 1.0, rc, rc])
+    inv[4, 1] = inv[5, 2] = rcd
     return fwd, inv
 
 

@@ -16,9 +16,8 @@ from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError
 from .floquet import (ModalConstants, _drift_row, _lti_scale,
-                      _qns_transition, balanced_solve, check_regular_epoch,
-                      drift_constant, eigvecs_closed, modal_constants,
-                      state_transition)
+                      drift_constant, eigvecs_closed, lf_qns,
+                      modal_constants, qns_r21, state_transition)
 from .geometry import g_inverse, geo_map
 from .orbit import eval_at_theta, time_to_theta
 
@@ -62,9 +61,9 @@ def modal_state_matrix(chief, domain, theta):
 
     It is evaluated as G(theta) P(theta) (I + (theta - theta0) R)
     G(theta0)^-1 V, the state transition applied to the eigenvector
-    columns, with the drift taken in element differences as in
-    state_transition; adding (theta - theta0) times column 5 to column 6
-    of P_x(theta) V lost up to 10x more digits.
+    columns, with the drift taken in element differences and applied to
+    column 6 alone (see _solution_stack); adding (theta - theta0) times
+    column 5 to column 6 of P_x(theta) V lost up to 10x more digits.
     """
     return _solution_stack(chief, domain, theta, _element_basis(chief, domain))
 
@@ -74,18 +73,22 @@ def _element_basis(chief, domain):
     v = eigvecs_closed(chief, domain)
     if domain == "qns":
         return v
-    w = g_inverse(geo_map(chief, chief.theta0, domain)) @ v
-    # columns 1-5 span the null space of R, which has no delta-a; the
-    # numeric inverse leaves rounding there that R would turn into drift
-    w[0, :5] = 0.0
-    return w
+    return g_inverse(chief, chief.theta0, domain) @ v
 
 
 def _solution_stack(chief, domain, theta, w):
     """G(theta) P(theta) (I + (theta - theta0) R) w: the solutions through
-    the element-difference columns w, in domain coordinates."""
+    the element-difference columns w, in domain coordinates.
+
+    Columns 1-5 of w are null directions of R, so R w = R21 w[0, 5] e1
+    e6^T: the drift enters through column 6 alone, and the rounding in
+    the delta-a entries of the others does not drift.
+    """
     theta = np.asarray(theta, dtype=float)
-    psi = _qns_transition(chief, theta) @ w
+    p = lf_qns(chief, theta)
+    psi = p @ w
+    psi[..., :, 5] += ((theta - chief.theta0) * qns_r21(chief)
+                       * w[0, 5])[..., None] * p[..., :, 1]
     if domain == "qns":
         return psi
     return geo_map(chief, theta, domain) @ psi
@@ -137,22 +140,14 @@ def rebase_chief(chief, theta0_new):
 
 
 def remap_epoch(chief, constants, theta0_new):
-    """Constants of the same physical trajectory for a new epoch angle.
-
-    c' = V'(theta0')^-1 Phi(theta0', theta0) V(theta0) c, where Phi is the
-    state transition matrix in the local coordinates and V' belongs to the
-    rebased chief. Reconstructing with the rebased chief and the returned
-    constants reproduces the original trajectory. Raises
+    """Constants of the same physical trajectory for a new epoch angle:
+    the closed-form weights (modal_constants) of the rebased chief for its
+    state at theta0', Psi(theta0') c = Phi(theta0', theta0) V c. Raises
     NearSingularMatrixError when the new epoch has e*sin(f0') ~ 0.
     """
-    domain = constants.domain
-    chief_new = rebase_chief(chief, theta0_new)
-    check_regular_epoch(chief_new, domain)
-    x_new = (state_transition(chief, domain, theta0_new)
-             @ eigvecs_closed(chief, domain) @ constants.as_array())
-    return ModalConstants(
-        c=balanced_solve(eigvecs_closed(chief_new, domain), x_new),
-        domain=domain, theta0=theta0_new)
+    return modal_constants(rebase_chief(chief, theta0_new),
+                           reconstruct(chief, constants, theta0_new),
+                           constants.domain)
 
 
 def no_drift_maneuver_line(chief, theta=None):

@@ -25,6 +25,7 @@ MU_EARTH = 398600.4418  # km^3/s^2
 _KEPLER_TOL = 1e-13  # rad
 _KEPLER_MAX_ITER = 50
 _TWO_PI = 2.0 * math.pi
+_SIN_I_MIN = 1e-9  # below it the chief is equatorial: the node is undefined
 
 
 @dataclass(frozen=True)

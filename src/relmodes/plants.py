@@ -19,12 +19,10 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import InclinationSingularityError, IntegrationError
-from .orbit import eval_at_theta
+from .orbit import _SIN_I_MIN, eval_at_theta
 
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-14
-
-_SIN_I_MIN = 1e-9
 
 
 def cw_planar_plant(n):

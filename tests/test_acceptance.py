@@ -120,8 +120,7 @@ def test_criterion_03_cross_coordinate_mapping():
                            rng.uniform(0.0, TWO_PI), f0)
         sys_qns = lti_qns(chief)
         for domain in ("cartesian", "spherical"):
-            g0 = geo_map(chief, chief.theta0, domain)
-            mapped = map_lti(g0, sys_qns.R)
+            mapped = map_lti(chief, domain, sys_qns.R)
             closed = lti_closed(chief, domain).R
             scale = np.max(np.abs(closed))
             worst = max(worst, np.max(np.abs(mapped - closed)) / scale)

@@ -138,6 +138,16 @@ class TestDecomposeCommand:
             acc += contrib[:, 2:8]
         assert np.max(np.abs(acc - total[:, 2:8])) < 1e-9
 
+    def test_equatorial_chief_raises_inclination_error(self, tmp_path,
+                                                       capsys):
+        cfg = write_config(tmp_path, {
+            "orbit": dict(MOLNIYA_ORBIT, i_deg=0.0),
+            "state0": [0.3, -0.2, 0.1, 1e-4, -2e-4, 5e-5],
+        })
+        assert main(["decompose", "--config", cfg, "--rep", "cart",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "equatorial chief" in capsys.readouterr().err
+
     def test_drifting_input_flagged(self, tmp_path):
         cfg = write_config(tmp_path, {
             "orbit": MOLNIYA_ORBIT,

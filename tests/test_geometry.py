@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relmodes import (NearSingularMatrixError, cart_sph_linear,
+from relmodes import (InclinationSingularityError, cart_sph_linear,
                       cart_sph_linear_at, cart_to_sph, eval_at_theta,
-                      g_cartesian, g_inverse, g_spherical, geo_map,
-                      make_chief, sph_to_cart)
+                      g_cartesian, g_inverse, g_spherical, gauss_rates,
+                      geo_map, make_chief, sph_to_cart)
+from relmodes.geometry import drift_row
 
 from conftest import batch_grid, batch_vs_scalar_error, random_chief
 
@@ -101,27 +102,66 @@ class TestInverse:
             chief = random_chief(rng, avoid_singular=False)
             th = rng.uniform(0.0, TWO_PI)
             g = g_cartesian(chief, th)
-            gi = g_inverse(g)
+            gi = g_inverse(chief, th, "cartesian")
             assert np.max(np.abs(g @ gi - np.eye(6))) < 1e-10
 
     def test_state_round_trip(self, generic_chief, rng):
         g = g_cartesian(generic_chief, 1.0)
         doe = rng.standard_normal(6) * 1e-4
         x = g @ doe
-        assert np.allclose(g_inverse(g) @ x, doe, rtol=1e-10, atol=1e-16)
+        assert np.allclose(g_inverse(generic_chief, 1.0, "cartesian") @ x,
+                           doe, rtol=1e-10, atol=1e-16)
 
-    def test_near_singular_rejected(self, rng):
-        bad = rng.standard_normal((6, 6))
-        bad[5] = bad[4] * (1.0 + 1e-14)  # dependence survives equilibration
-        with pytest.raises(NearSingularMatrixError):
-            g_inverse(bad)
+    @pytest.mark.parametrize("target", ["cartesian", "spherical"])
+    def test_matches_numeric_inverse(self, rng, target):
+        # each row scaled by its largest entry: the rows mix units
+        for _ in range(200):
+            chief = random_chief(rng, avoid_singular=False)
+            th = rng.uniform(0.0, TWO_PI)
+            ref = np.linalg.inv(geo_map(chief, th, target))
+            err = np.abs(g_inverse(chief, th, target) - ref)
+            assert np.max(err / np.max(np.abs(ref), axis=1, keepdims=True)) \
+                < 2e-12
 
-    def test_conditioning_reported_for_reference_orbit(self, molniya):
-        # no ground truth; record that the map stays comfortably regular
-        from relmodes.geometry import equilibrated_cond
-        cond = equilibrated_cond(g_cartesian(molniya, molniya.theta0))
-        print(f"reference-orbit map equilibrated cond: {cond:.3e}")
-        assert np.isfinite(cond) and cond < 1e6
+    def test_velocity_columns_are_gauss_rates(self, rng):
+        # unit accelerations: with a small one the rate differences lose
+        # the digits that the thetadot entry (h/r^2) carries
+        for _ in range(200):
+            chief = random_chief(rng, avoid_singular=False)
+            th = rng.uniform(0.0, TWO_PI)
+            base = gauss_rates(chief, th, (0.0, 0.0, 0.0))
+            cols = np.column_stack([gauss_rates(chief, th, e) - base
+                                    for e in np.eye(3)])
+            vel = g_inverse(chief, th, "cartesian")[:, 3:]
+            assert np.max(np.abs(cols - vel) / np.max(np.abs(vel), axis=0)) \
+                < 1e-14
+
+    def test_spherical_drift_row(self, rng):
+        # the Cartesian delta-a row read through L^-1 is the printed
+        # spherical drift row at theta times 2 a^2 p / h
+        for _ in range(200):
+            chief = random_chief(rng, avoid_singular=False)
+            th = rng.uniform(0.0, TWO_PI)
+            _, l_inv = cart_sph_linear_at(chief, th)
+            row = g_inverse(chief, th, "cartesian")[0] @ l_inv
+            expect = (2.0 * chief.a**2 * chief.p / chief.h
+                      * drift_row(chief, eval_at_theta(chief, th),
+                                  "spherical"))
+            assert np.max(np.abs(row - expect)) < 1e-14 * np.max(np.abs(expect))
+            assert np.array_equal(g_inverse(chief, th, "spherical")[0], expect)
+
+    @pytest.mark.parametrize("target", ["cartesian", "spherical"])
+    def test_array_matches_scalar(self, generic_chief, target):
+        grid = batch_grid(generic_chief)
+        assert batch_vs_scalar_error(
+            lambda th: g_inverse(generic_chief, th, target), grid) <= 1e-15
+
+    @pytest.mark.parametrize("target", ["cartesian", "spherical"])
+    def test_equatorial_chief_rejected(self, target):
+        # the node, and with it delta-Omega, is undefined
+        chief = make_chief(12000.0, 0.3, 0.0, 0.0, 1.0, 0.5)
+        with pytest.raises(InclinationSingularityError):
+            g_inverse(chief, 1.0, target)
 
 
 class TestSphericalConversion:
