@@ -25,10 +25,9 @@ from .modal import (FamilyMember, StationaryPlane,
                     reconstruct, remap_epoch, stationary_plane,
                     sweep_bounded_family)
 from .numeric import (Eigenstructure, NumericFloquetResult,
-                      delta_p_correction, detect_eigenstructure, find_period,
-                      fourier_periodic_fit, integrate_stm,
-                      lf_from_monodromy, liouville_determinant_check,
-                      numeric_modal_decomp, real_matrix_log)
+                      detect_eigenstructure, fourier_periodic_fit,
+                      integrate_stm, lf_from_monodromy, numeric_modal_decomp,
+                      real_matrix_log)
 from .orbit import (MU_EARTH, ChiefOrbit, OrbitStateAtTheta, eval_at_theta,
                     make_chief, theta_to_time, time_to_theta)
 from .plants import (cartesian_plant_keplerian, cartesian_plant_theta,

@@ -24,8 +24,7 @@ from .floquet import (ModalConstants, _lti_scale, drift_constant,
 from .geometry import geo_map
 from .modal import (modal_state_matrix, normalize_mode, reconstruct,
                     stationary_plane, sweep_bounded_family)
-from .numeric import (lf_from_monodromy, liouville_determinant_check,
-                      numeric_modal_decomp)
+from .numeric import lf_from_monodromy, numeric_modal_decomp
 from .orbit import eval_at_theta, theta_to_time, time_to_theta
 from .plants import cartesian_plant_theta, cw_plant_full, qns_plant_theta
 
@@ -198,8 +197,6 @@ def cmd_floquet_numeric(args):
     result = numeric_modal_decomp(plant, t0, period,
                                   n_harmonics=args.harmonics,
                                   n_samples=args.samples, tol=args.tol)
-    liouville = liouville_determinant_check(plant, t0, period,
-                                            result.monodromy)
     if args.plant == "cartesian-keplerian":
         t0, period = 0.0, chief.period
         lam, eigenvalues, t_samples, lf_samples, defect = \
@@ -218,7 +215,7 @@ def cmd_floquet_numeric(args):
         "monodromy": rio.matrix_to_json(result.monodromy),
         "periodic_fit_residual": result.periodic_fit_residual,
         "periodicity_defect": defect,
-        "liouville_mismatch": liouville,
+        "liouville_mismatch": result.liouville_mismatch,
     }
     if analytic is not None:
         if "Lambda_analytic" in analytic:
@@ -436,6 +433,12 @@ def main(argv=None):
         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the Fourier fit needs more samples than twice the harmonics it keeps
+    if args.command == "floquet-num" and \
+            not 0 <= 2 * args.harmonics < args.samples:
+        parser.error(f"floquet-num needs --harmonics >= 0 and --samples > "
+                     f"2 * --harmonics; got --samples {args.samples}, "
+                     f"--harmonics {args.harmonics}")
     try:
         return args.func(args)
     except RelMotionError as exc:

@@ -1,7 +1,7 @@
 """Numeric periodic-reduction pipeline for arbitrary (near-)periodic
 plants: state-transition-matrix integration, monodromy matrix, real
 matrix logarithm, periodic transform samples, Fourier fit of a
-near-periodic plant, and the first-order transform correction ODE.
+near-periodic plant, and the Liouville check of det M.
 
 The matrix logarithm has a dedicated unipotent branch (truncated power
 series of log(I + N) for numerically nilpotent N) because monodromy
@@ -19,7 +19,6 @@ from functools import cached_property
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, logm, matrix_balance
-from scipy.optimize import minimize_scalar
 
 from .errors import IntegrationError, MatrixLogError, PeriodicityError
 
@@ -29,7 +28,6 @@ DEFAULT_ATOL = 1e-13
 _NILPOTENT_TOL = 1e-6
 _EXP_CHECK_TOL = 1e-8
 _CLUSTER_TOL = 1e-6  # eigenvalue merge distance over the balanced norm
-_PERIOD_SCAN = 64    # coarse grid points of find_period
 
 
 @dataclass(frozen=True)
@@ -53,6 +51,7 @@ class NumericFloquetResult:
     eigenstructure: Eigenstructure
     periodic_fit_residual: float
     periodicity_defect: float    # see lf_from_monodromy
+    liouville_mismatch: float    # see numeric_modal_decomp
     stm_at: object               # dense Phi(t, t0) over the sampled period
     nilpotent_index: object      # k of the unipotent log branch, else None
 
@@ -103,37 +102,30 @@ class NumericFloquetResult:
         return np.real(self.lf_at(t) @ chi)
 
 
-def integrate_stm(plant_fn, t0, period, tol=DEFAULT_RTOL, n_samples=None):
+def integrate_stm(plant_fn, t0, period, tol=DEFAULT_RTOL):
     """Integrate the variational equation Phi' = A(t) Phi over one period.
 
-    Returns (monodromy, t_samples, stm_samples, stm_at); with
-    n_samples=None only the endpoint matrices are sampled. stm_at(t)
-    evaluates the DOP853 dense output at t in [t0, t0 + period] (scalar
-    or array), shape t.shape + (dim, dim).
+    Returns (monodromy, stm_at). stm_at(t) evaluates the DOP853 dense
+    output at t in [t0, t0 + period] (scalar or array), shape
+    t.shape + (dim, dim); it is I at t0 and the monodromy at t0 + period,
+    bit for bit.
     """
-    if n_samples is None:
-        t_grid = np.array([t0, t0 + period])
-    else:
-        t_grid = np.linspace(t0, t0 + period, n_samples)
     dim = np.shape(plant_fn(t0))[0]
-    y0 = np.eye(dim).reshape(-1)
 
     def rhs(t, y):
         return (plant_fn(t) @ y.reshape(dim, dim)).reshape(-1)
 
-    sol = solve_ivp(rhs, (t0, t0 + period), y0, method="DOP853",
-                    t_eval=t_grid, rtol=tol, atol=DEFAULT_ATOL,
+    sol = solve_ivp(rhs, (t0, t0 + period), np.eye(dim).reshape(-1),
+                    method="DOP853", rtol=tol, atol=DEFAULT_ATOL,
                     dense_output=True)
     if not sol.success:
         raise IntegrationError(f"STM integration failed: {sol.message}")
-    samples = sol.y.T.reshape(-1, dim, dim)
-    dense = sol.sol
 
     def stm_at(t):
         t = np.asarray(t, dtype=float)
-        return np.moveaxis(dense(t), 0, -1).reshape(t.shape + (dim, dim))
+        return np.moveaxis(sol.sol(t), 0, -1).reshape(t.shape + (dim, dim))
 
-    return samples[-1], t_grid, samples, stm_at
+    return stm_at(t0 + period), stm_at
 
 
 def _nilpotent_index(n_mat):
@@ -285,29 +277,6 @@ def fourier_periodic_fit(values, t0, period, n_harmonics):
     return fit, residual
 
 
-def find_period(plant_fn, t0, bracket):
-    """Period estimate minimizing ||A(t0) - A(t0+T)|| over a bracketed T.
-
-    Coarse 64-point scan of the bracket followed by golden-section
-    refinement.
-    """
-    a0 = plant_fn(t0)
-
-    def objective(T):
-        return float(np.linalg.norm(plant_fn(t0 + T) - a0))
-
-    lo, hi = bracket
-    ts = np.linspace(lo, hi, _PERIOD_SCAN)
-    vals = [objective(t) for t in ts]
-    j = int(np.argmin(vals))
-    jl, jr = max(j - 1, 0), min(j + 1, _PERIOD_SCAN - 1)
-    if jl == j or jr == j or not (vals[j] < vals[jl] and vals[j] < vals[jr]):
-        return float(ts[j])
-    res = minimize_scalar(objective, bracket=(ts[jl], ts[j], ts[jr]),
-                          method="golden", options={"xtol": 1e-12})
-    return float(res.x)
-
-
 # ---------------------------------------------------------------------------
 # eigenstructure with defective-chain detection
 # ---------------------------------------------------------------------------
@@ -429,8 +398,8 @@ def numeric_modal_decomp(plant_fn, t0, period, n_harmonics=32,
                          max_fit_residual=0.1):
     """Full pipeline: periodicity assessment (Fourier fit of the sampled
     plant), STM over one period, real logarithm of the monodromy,
-    periodic transform samples, and the eigenstructure of the reduced
-    constant plant.
+    periodic transform samples, the eigenstructure of the reduced
+    constant plant, and the Liouville check of det M.
 
     Exactly periodic plants are integrated directly and the fit residual
     is purely diagnostic; near-periodic plants are replaced by their
@@ -455,58 +424,25 @@ def numeric_modal_decomp(plant_fn, t0, period, n_harmonics=32,
             f"{residual:.3e} exceeds {max_fit_residual:.1e} of scale {scale:.3e}"
         )
     integrand = fit if use_fit else plant_fn
-    monodromy, ends, stm_ends, stm_at = integrate_stm(integrand, t0, period,
-                                                      tol=tol)
+    monodromy, stm_at = integrate_stm(integrand, t0, period, tol=tol)
     lam, k = real_matrix_log(monodromy, period)
     # the transform samples are left to first use: a caller that wants
     # them on another grid evaluates stm_at there instead
-    _, defect = lf_from_monodromy(ends, stm_ends, lam, t0, k)
+    ends = np.array([t0, t0 + period])
+    _, defect = lf_from_monodromy(ends, stm_at(ends), lam, t0, k)
     eig = detect_eigenstructure(lam, nilpotent=k is not None)
+    # Liouville: det M = exp of the integral of tr A, the period times the
+    # mean trace of the samples (the periodic trapezoid rule; the fit has
+    # the same mean trace). The miss is scaled by the componentwise
+    # condition number of det, sum_ij |M_ij (M^-1)_ji| >= dim
+    expected = math.exp(period * values.trace(axis1=1, axis2=2).mean())
+    cond = np.sum(np.abs(monodromy * np.linalg.inv(monodromy).T))
+    liouville = float(abs(np.linalg.det(monodromy) - expected)
+                      / (expected * cond))
     return NumericFloquetResult(
         monodromy=monodromy, Lambda=lam,
         t_samples=np.linspace(t0, t0 + period, n_samples + 1),
         eigenstructure=eig, periodic_fit_residual=residual,
-        periodicity_defect=defect, stm_at=stm_at, nilpotent_index=k,
+        periodicity_defect=defect, liouville_mismatch=liouville,
+        stm_at=stm_at, nilpotent_index=k,
     )
-
-
-def delta_p_correction(a0_fn, p0_fn, lambda0, delta_a_fn, t0, period,
-                       delta_lambda=None, n_samples=257):
-    """First-order correction of the periodic transform under a plant
-    deviation: integrates
-
-        dP' = -dP Lambda0 + A0 dP - P0 dLambda + dA P0
-
-    from dP(t0) = 0. Returns (t_samples, dP_samples, periodicity_defect);
-    with dLambda unspecified the secular content of dA shows up in the
-    defect instead of being absorbed.
-    """
-    lambda0 = np.asarray(lambda0, dtype=float)
-    dim = lambda0.shape[0]
-    dl = np.zeros((dim, dim)) if delta_lambda is None else np.asarray(delta_lambda)
-    t_grid = np.linspace(t0, t0 + period, n_samples)
-
-    def rhs(t, y):
-        dp = y.reshape(dim, dim)
-        p0 = p0_fn(t)
-        ddp = -dp @ lambda0 + a0_fn(t) @ dp - p0 @ dl + delta_a_fn(t) @ p0
-        return ddp.reshape(-1)
-
-    sol = solve_ivp(rhs, (t0, t0 + period), np.zeros(dim * dim),
-                    method="DOP853", t_eval=t_grid, rtol=DEFAULT_RTOL,
-                    atol=DEFAULT_ATOL)
-    if not sol.success:
-        raise IntegrationError(f"correction ODE failed: {sol.message}")
-    samples = sol.y.T.reshape(-1, dim, dim)
-    defect = float(np.max(np.abs(samples[-1] - samples[0])))
-    return t_grid, samples, defect
-
-
-def liouville_determinant_check(plant_fn, t0, period, monodromy):
-    """Relative mismatch of det(monodromy) against exp of the integrated
-    plant trace (quadrature oracle)."""
-    from scipy.integrate import quad
-    tr, _ = quad(lambda t: float(np.trace(plant_fn(t))),
-                 t0, t0 + period, limit=200)
-    expected = math.exp(tr)
-    return abs(np.linalg.det(monodromy) - expected) / abs(expected)

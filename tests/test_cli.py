@@ -261,7 +261,7 @@ class TestFloquetNumericCommand:
                      "--samples", "512", "--harmonics", "32"]) == 0
         payload = json.load(open(os.path.join(out, "floquet_numeric.json")))
         assert payload["analytic_comparison"]["Lambda_max_rel_error"] < 1e-6
-        assert payload["liouville_mismatch"] < 1e-6
+        assert payload["liouville_mismatch"] < 1e-12
 
 
     @pytest.mark.parametrize("orbit", [
@@ -290,6 +290,23 @@ class TestFloquetNumericCommand:
         err = np.max(np.abs(rows[:, 1:].reshape(-1, 6, 6) - pa))
         assert err < 1e-9 * np.max(np.abs(pa))
 
+    @pytest.mark.parametrize("samples, harmonics", [
+        ("64", "32"), ("0", "32"), ("10", "-1")])
+    def test_bad_samples_or_harmonics_rejected(self, tmp_path, capsys,
+                                               samples, harmonics):
+        """The Fourier fit needs --samples > 2 * --harmonics >= 0: other
+        values exit 2 with an error line naming both flags, before any
+        work."""
+        cfg = write_config(tmp_path, {"orbit": MOLNIYA_ORBIT})
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["floquet-num", "--config", cfg, "--out", str(out),
+                  "--samples", samples, "--harmonics", harmonics])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "--samples" in err and "--harmonics" in err
+        assert not out.exists()
+
     def test_cartesian_keplerian_at_e_095(self, tmp_path):
         orbit = dict(MOLNIYA_ORBIT, e=0.95, raan_deg=math.degrees(0.3),
                      argp_deg=215.0, f0_deg=40.0)
@@ -302,7 +319,9 @@ class TestFloquetNumericCommand:
 
     def test_periodicity_defect_at_e_098(self, tmp_path):
         # the raw max|P(T) - I| reads 8.8e-2 here, the rounding of N^2 in
-        # km and km/s entries; scaled per entry it reads at rounding
+        # km and km/s entries; scaled per entry it reads at rounding. The
+        # raw |det M - 1| reads 9.6e-5, the conditioning of det; over its
+        # componentwise condition number it reads at rounding too
         orbit = dict(MOLNIYA_ORBIT, e=0.98, raan_deg=math.degrees(0.3),
                      argp_deg=215.0, f0_deg=40.0)
         cfg = write_config(tmp_path, {"orbit": orbit})
@@ -310,6 +329,7 @@ class TestFloquetNumericCommand:
         assert main(["floquet-num", "--config", cfg, "--out", out]) == 0
         payload = json.load(open(os.path.join(out, "floquet_numeric.json")))
         assert payload["periodicity_defect"] < 1e-12
+        assert payload["liouville_mismatch"] < 1e-12
 
 
 class TestValidateCommand:

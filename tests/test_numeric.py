@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from relmodes import (MatrixLogError, PeriodicityError, cw_modal_decomp,
-                      cw_plant_full, cw_stm_planar, delta_p_correction,
-                      detect_eigenstructure, find_period, fourier_periodic_fit,
-                      integrate_stm, lf_from_monodromy, lf_qns, lf_transform,
-                      liouville_determinant_check, lti_closed, lti_qns,
-                      make_chief, numeric_modal_decomp, qns_plant_theta,
-                      qns_plant_time, qns_r21, real_matrix_log,
-                      state_transition, time_to_theta)
+                      cw_plant_full, cw_stm_planar, detect_eigenstructure,
+                      fourier_periodic_fit, integrate_stm, lf_from_monodromy,
+                      lf_qns, lf_transform, lti_closed, make_chief,
+                      numeric_modal_decomp, qns_plant_theta, qns_r21,
+                      real_matrix_log, state_transition, time_to_theta)
 from relmodes.plants import (cartesian_plant_keplerian, cartesian_plant_theta,
                              cw_planar_plant)
 
@@ -28,28 +26,33 @@ def keplerian_cartesian_plant(chief):
 
 class TestIntegrateStm:
     def test_identity_at_start(self, molniya):
-        _, _, samples, _ = integrate_stm(keplerian_cartesian_plant(molniya),
-                                      0.0, 100.0, n_samples=3)
-        assert np.array_equal(samples[0], np.eye(6))
+        """The dense output is I at t0 and the monodromy at t0 + period,
+        bit for bit, so the pipeline takes both ends from it."""
+        mono, stm_at = integrate_stm(keplerian_cartesian_plant(molniya), 0.0,
+                                     100.0)
+        ends = stm_at(np.array([0.0, 100.0]))
+        assert np.array_equal(stm_at(0.0), np.eye(6))
+        assert np.array_equal(ends[0], np.eye(6))
+        assert np.array_equal(ends[1], mono)
 
     def test_constant_plant_matches_expm(self, rng):
         a = rng.standard_normal((6, 6)) * 0.01
         t_end = 7.0
-        mono, _, _, _ = integrate_stm(lambda t: a, 0.0, t_end)
+        mono, _ = integrate_stm(lambda t: a, 0.0, t_end)
         ref = expm(a * t_end)
         assert np.max(np.abs(mono - ref)) < 1e-10 * np.max(np.abs(ref))
 
     def test_cw_matches_closed_form(self):
         n = 1.45e-4
         t_end = 0.7 * TWO_PI / n
-        mono, _, _, _ = integrate_stm(lambda t: cw_planar_plant(n), 0.0, t_end)
+        mono, _ = integrate_stm(lambda t: cw_planar_plant(n), 0.0, t_end)
         ref = cw_stm_planar(n, t_end)
         assert np.max(np.abs(mono - ref)) < 1e-9 * np.max(np.abs(ref))
 
     def test_qns_monodromy_is_identity_plus_nilpotent(self, generic_chief):
         chief = generic_chief
-        mono, _, _, _ = integrate_stm(lambda th: qns_plant_theta(chief, th),
-                                   chief.theta0, TWO_PI)
+        mono, _ = integrate_stm(lambda th: qns_plant_theta(chief, th),
+                                chief.theta0, TWO_PI)
         n_mat = mono - np.eye(6)
         assert n_mat[1, 0] == pytest.approx(TWO_PI * qns_r21(chief),
                                             rel=1e-9)
@@ -83,8 +86,8 @@ class TestRealMatrixLog:
 
     def test_keplerian_monodromy_rate(self, generic_chief):
         chief = generic_chief
-        mono, _, _, _ = integrate_stm(lambda th: qns_plant_theta(chief, th),
-                                   chief.theta0, TWO_PI)
+        mono, _ = integrate_stm(lambda th: qns_plant_theta(chief, th),
+                                chief.theta0, TWO_PI)
         lam, _ = real_matrix_log(mono, TWO_PI)
         assert lam[1, 0] == pytest.approx(qns_r21(chief), rel=1e-6)
 
@@ -103,8 +106,9 @@ class TestLfFromMonodromy:
     def test_lti_plant_gives_identity_transform(self):
         n = 1.45e-4
         t_end = TWO_PI / (3.0 * n)  # non-resonant span
-        mono, ts, stm, _ = integrate_stm(lambda t: cw_plant_full(n), 0.0,
-                                      t_end, n_samples=40)
+        mono, stm_at = integrate_stm(lambda t: cw_plant_full(n), 0.0, t_end)
+        ts = np.linspace(0.0, t_end, 40)
+        stm = stm_at(ts)
         lam, k = real_matrix_log(mono, t_end)
         assert k is None
         samples, defect = lf_from_monodromy(ts, stm, lam)
@@ -116,8 +120,9 @@ class TestLfFromMonodromy:
         stacked expm equals one expm per sample."""
         n = 1.45e-4
         t_end = TWO_PI / (3.0 * n)
-        mono, ts, stm, _ = integrate_stm(lambda t: cw_plant_full(n), 0.0,
-                                         t_end, n_samples=129)
+        mono, stm_at = integrate_stm(lambda t: cw_plant_full(n), 0.0, t_end)
+        ts = np.linspace(0.0, t_end, 129)
+        stm = stm_at(ts)
         lam, k = real_matrix_log(mono, t_end)
         assert k is None
         samples, defect = lf_from_monodromy(ts, stm, lam, nilpotent_index=k)
@@ -135,8 +140,9 @@ class TestLfFromMonodromy:
         6.5e-9 on the generic chief)."""
         chief = request.getfixturevalue(orbit)
         plant = keplerian_cartesian_plant(chief)
-        mono, ts, stm, _ = integrate_stm(plant, 0.0, chief.period,
-                                         n_samples=129)
+        mono, stm_at = integrate_stm(plant, 0.0, chief.period)
+        ts = np.linspace(0.0, chief.period, 129)
+        stm = stm_at(ts)
         lam, k = real_matrix_log(mono, chief.period)
         assert k == 2
         samples, defect = lf_from_monodromy(ts, stm, lam, nilpotent_index=k)
@@ -154,8 +160,10 @@ class TestLfFromMonodromy:
 
     def test_matches_closed_form_qns_transform(self, generic_chief):
         chief = generic_chief
-        mono, ts, stm, _ = integrate_stm(lambda th: qns_plant_theta(chief, th),
-                                      chief.theta0, TWO_PI, n_samples=33)
+        mono, stm_at = integrate_stm(lambda th: qns_plant_theta(chief, th),
+                                     chief.theta0, TWO_PI)
+        ts = np.linspace(chief.theta0, chief.theta0 + TWO_PI, 33)
+        stm = stm_at(ts)
         lam, k = real_matrix_log(mono, TWO_PI)
         samples, defect = lf_from_monodromy(ts, stm, lam, nilpotent_index=k)
         assert defect < 1e-7
@@ -377,10 +385,25 @@ class TestPipeline:
         res = numeric_modal_decomp(keplerian_cartesian_plant(molniya), 0.0,
                                    molniya.period, n_harmonics=16,
                                    n_samples=256)
-        mismatch = liouville_determinant_check(
-            keplerian_cartesian_plant(molniya), 0.0, molniya.period,
-            res.monodromy)
-        assert mismatch < 1e-6
+        assert res.liouville_mismatch < 1e-12
+
+    def test_liouville_with_nonzero_trace_integral(self):
+        """Every Keplerian plant has a zero trace integral; this one has
+        T sum(c_k), so a quadrature that drops the period or misses the
+        mean trace shows (dropping the period reads 0.045)."""
+        period = 3.0
+        c = np.array([0.1, -0.2, 0.05, 0.3, -0.15, 0.02])
+        upper = np.triu(np.random.default_rng(3).standard_normal((6, 6)), 1)
+
+        def plant(t):
+            wave = 0.3 * np.sin(TWO_PI * np.asarray(t) / period)
+            return upper + (c + wave[..., None])[..., None] * np.eye(6)
+
+        res = numeric_modal_decomp(plant, 0.0, period, n_harmonics=8,
+                                   n_samples=64)
+        assert np.linalg.det(res.monodromy) == pytest.approx(
+            math.exp(period * c.sum()), rel=1e-10)
+        assert res.liouville_mismatch < 1e-12
 
 
 @given(a=st.floats(7000.0, 45000.0), e=st.floats(0.01, 0.95),
@@ -433,51 +456,3 @@ def test_drift_chain_on_theta_domain_reduction(orbit):
     lam_ana = lti_closed(chief, "cartesian").R
     assert np.max(np.abs(res.Lambda - lam_ana)) \
         < 1e-9 * np.max(np.abs(lam_ana))
-
-
-class TestDeltaPCorrection:
-    def test_zero_deviation(self):
-        a0 = np.array([[0.0, 1.0], [0.0, 0.0]])
-        _, dps, defect = delta_p_correction(
-            lambda t: a0, lambda t: np.eye(2), a0,
-            lambda t: np.zeros((2, 2)), 0.0, 5.0)
-        assert np.max(np.abs(dps)) == 0.0
-        assert defect == 0.0
-
-    def test_commuting_deviation_closed_form(self):
-        # LTI base with commuting deviation: dP(t) = dA * (t - t0)
-        a0 = np.array([[0.0, 1.0], [0.0, 0.0]])
-        da = 1e-3 * a0
-        t_end = 5.0
-        ts, dps, defect = delta_p_correction(
-            lambda t: a0, lambda t: np.eye(2), a0, lambda t: da, 0.0, t_end)
-        assert np.allclose(dps[-1], da * t_end, atol=1e-15)
-        assert defect == pytest.approx(np.max(np.abs(da * t_end)), rel=1e-10)
-
-    def test_row_structure_preserved(self, generic_chief):
-        chief = generic_chief
-        lam0 = lti_qns(chief, indep="time").R
-        p0 = lambda t: lf_qns(chief, time_to_theta(chief, t), indep="time")
-        a0 = lambda t: qns_plant_time(chief, time_to_theta(chief, t))
-
-        def da(t):
-            m = np.zeros((6, 6))
-            m[1, 0] = 1e-9 * math.sin(TWO_PI * t / chief.period)
-            m[1, 3] = 1e-9
-            return m
-
-        _, dps, _ = delta_p_correction(a0, p0, lam0, da, 0.0, chief.period,
-                                       n_samples=33)
-        mask = np.ones((6, 6), dtype=bool)
-        mask[1, :] = False
-        assert np.max(np.abs(dps[:, mask])) == 0.0
-        assert np.max(np.abs(dps[:, 1, :])) > 0.0
-
-
-def test_find_period_synthetic():
-    def plant(t):
-        return np.array([[0.0, 1.0],
-                         [-1.0 - 0.3 * math.cos(TWO_PI * t / 7.3), 0.0]])
-
-    assert find_period(plant, 0.0, (5.0, 10.0)) == pytest.approx(7.3,
-                                                                 abs=1e-6)
