@@ -126,7 +126,8 @@ def cmd_reconstruct(args):
     chief = rio.chief_from_config(cfg.get("orbit", cfg))
     rep = rio.REP_ALIASES[args.rep]
     os.makedirs(args.out, exist_ok=True)
-    constants = ModalConstants(c=np.asarray(cfg["constants"], dtype=float),
+    constants = ModalConstants(c=np.asarray(rio.require(cfg, "constants"),
+                                            dtype=float),
                                domain=rep, theta0=chief.theta0)
     grid = _theta_grid(chief, args.periods)
     states = reconstruct(chief, constants, grid, rep)
@@ -140,9 +141,9 @@ def cmd_sweep(args):
     cfg = rio.load_config(args.config)
     chief = rio.chief_from_config(cfg.get("orbit", cfg))
     os.makedirs(args.out, exist_ok=True)
-    x0 = float(cfg["x0_km"])
-    y0 = float(cfg["y0_km"])
-    xdot0_list = [float(v) for v in cfg["xdot0_list_kmps"]]
+    x0 = float(rio.require(cfg, "x0_km"))
+    y0 = float(rio.require(cfg, "y0_km"))
+    xdot0_list = [float(v) for v in rio.require(cfg, "xdot0_list_kmps")]
     members = sweep_bounded_family(chief, x0, y0, xdot0_list)
     grid = _theta_grid(chief, args.periods)
     times = theta_to_time(chief, grid)
@@ -439,6 +440,18 @@ def main(argv=None):
         parser.error(f"floquet-num needs --harmonics >= 0 and --samples > "
                      f"2 * --harmonics; got --samples {args.samples}, "
                      f"--harmonics {args.harmonics}")
+    # --tol is a drift threshold in decompose, which may be 0, and an
+    # integration tolerance in floquet-num, which may not
+    if "tol" in args:
+        zero_ok = args.command == "decompose"
+        if not (math.isfinite(args.tol)
+                and (args.tol > 0.0 or zero_ok and args.tol == 0.0)):
+            parser.error(f"{args.command} needs a finite --tol "
+                         f"{'>=' if zero_ok else '>'} 0; got --tol {args.tol}")
+    if "periods" in args and not (math.isfinite(args.periods)
+                                  and args.periods > 0.0):
+        parser.error(f"{args.command} needs a finite --periods > 0; "
+                     f"got --periods {args.periods}")
     try:
         return args.func(args)
     except RelMotionError as exc:

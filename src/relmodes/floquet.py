@@ -10,6 +10,10 @@ Cartesian and spherical reductions follow by a similarity/congruence pair:
     R_x = G(theta0) R G(theta0)^-1
     P_x(theta) = G(theta) P(theta) G(theta0)^-1
 
+These products do not depend on i or Omega, so G is taken on the chief's
+in-plane orbit (chief.in_plane, i = pi/2), where no node term cancels and
+an equatorial chief is as regular as any other.
+
 All three constant plants share six zero eigenvalues with geometric
 multiplicity five (one 2-chain); the generalized direction carries the
 secular drift and its weight c6 is the boundedness condition. Each plant
@@ -190,7 +194,8 @@ def delta_theta_solution(chief, theta, da, dtheta0, dq1, dq2, dt=None):
 
 def map_lti(chief, domain, r):
     """Similarity transform G(theta0) R G(theta0)^-1 of a reduced constant
-    element-difference plant into `domain` coordinates."""
+    element-difference plant into `domain` coordinates, G taken on
+    chief.in_plane."""
     return _to_local(chief, domain, chief.theta0, r)
 
 
@@ -199,16 +204,18 @@ def lf_transform(chief, domain, theta, indep="theta"):
     (scalar or array, real or complex).
 
     In local coordinates this is P_x(theta) = G(theta) P(theta)
-    G(theta0)^-1, with P the element-difference transform, taken as I +
-    (G(theta) P(theta) - G(theta0)) G(theta0)^-1 so that P_x(theta0) = I
-    exactly, as P(theta0) is. Returns shape theta.shape + (6, 6).
+    G(theta0)^-1, with P the element-difference transform and G taken on
+    chief.in_plane. It is evaluated as I + (G(theta) P(theta) - G(theta0))
+    G(theta0)^-1 so that P_x(theta0) = I exactly, as P(theta0) is. Returns
+    shape theta.shape + (6, 6).
     """
     p = lf_qns(chief, theta, indep)
     if domain == "qns":
         return p
-    g0 = geo_map(chief, chief.theta0, domain)
-    return np.eye(6) + (geo_map(chief, theta, domain) @ p - g0) \
-        @ g_inverse(chief, chief.theta0, domain)
+    plane = chief.in_plane
+    g0 = geo_map(plane, chief.theta0, domain)
+    return np.eye(6) + (geo_map(plane, theta, domain) @ p - g0) \
+        @ g_inverse(plane, chief.theta0, domain)
 
 
 def state_transition(chief, domain, theta):
@@ -222,7 +229,8 @@ def state_transition(chief, domain, theta):
     Phi is regular at every epoch, e*sin(f0) = 0 and e = 0 included.
 
     The drift is applied in element differences, where R is the single
-    entry R21, and mapped as G(theta) Phi G(theta0)^-1. The local R_x is
+    entry R21, and mapped as G(theta) Phi G(theta0)^-1 on chief.in_plane,
+    so a local Phi reads no inclination or node. The local R_x is
     rank one with entries far larger than R_x @ x0, so multiplying by it
     costs digits that this order keeps.
     """
@@ -241,12 +249,13 @@ def _qns_transition(chief, theta):
 
 
 def _to_local(chief, domain, theta, m):
-    """G(theta) m G(theta0)^-1: a stack of element-difference matrices in
-    the requested coordinates."""
+    """G(theta) m G(theta0)^-1 on chief.in_plane: a stack of
+    element-difference matrices in the requested coordinates."""
     if domain == "qns":
         return m
-    return (geo_map(chief, theta, domain) @ m
-            @ g_inverse(chief, chief.theta0, domain))
+    plane = chief.in_plane
+    return (geo_map(plane, theta, domain) @ m
+            @ g_inverse(plane, chief.theta0, domain))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ Cartesian state (x, y, z, xdot, ydot, zdot) or the local spherical state
 (dr, theta_r, phi_r, drdot, theta_r_dot, phi_r_dot). Both maps are
 orbit-periodic in theta, and their first and fourth rows coincide; their
 inverses (g_inverse) are closed form, singular only for equatorial chiefs.
+The local reductions read the maps on chief.in_plane (i = pi/2), as
+products G(theta) M G(theta0)^-1 that do not depend on i or Omega, so
+only element-set results keep the equatorial singularity.
 """
 
 import math

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from .errors import RelMotionError
 from .orbit import MU_EARTH, make_chief
 
 STATE_COLUMNS = {
@@ -29,14 +30,21 @@ def load_config(path):
         return json.load(fh)
 
 
+def require(cfg, key):
+    """cfg[key], or a RelMotionError that names the missing key."""
+    if key not in cfg:
+        raise RelMotionError(f"config lacks the required key {key!r}")
+    return cfg[key]
+
+
 def chief_from_config(cfg):
     """Chief orbit from the JSON orbit block:
     {"a_km", "e", "i_deg", "raan_deg", "argp_deg", "f0_deg",
      "mu_km3_s2" (optional)}."""
     return make_chief(
-        a=float(cfg["a_km"]),
-        e=float(cfg["e"]),
-        inc=math.radians(float(cfg["i_deg"])),
+        a=float(require(cfg, "a_km")),
+        e=float(require(cfg, "e")),
+        inc=math.radians(float(require(cfg, "i_deg"))),
         raan=math.radians(float(cfg.get("raan_deg", 0.0))),
         argp=math.radians(float(cfg.get("argp_deg", 0.0))),
         f0=math.radians(float(cfg.get("f0_deg", 0.0))),

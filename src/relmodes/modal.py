@@ -60,25 +60,28 @@ def modal_state_matrix(chief, domain, theta):
     theta-domain reduction.
 
     It is evaluated as G(theta) P(theta) (I + (theta - theta0) R)
-    G(theta0)^-1 V, the state transition applied to the eigenvector
-    columns, with the drift taken in element differences and applied to
-    column 6 alone (see _solution_stack); adding (theta - theta0) times
-    column 5 to column 6 of P_x(theta) V lost up to 10x more digits.
+    G(theta0)^-1 V with G on chief.in_plane: the state transition applied
+    to the eigenvector columns, with the drift taken in element
+    differences and applied to column 6 alone (see _solution_stack);
+    adding (theta - theta0) times column 5 to column 6 of P_x(theta) V
+    lost up to 10x more digits.
     """
     return _solution_stack(chief, domain, theta, _element_basis(chief, domain))
 
 
 def _element_basis(chief, domain):
-    """Eigenvector columns in element differences, G(theta0)^-1 V."""
+    """Eigenvector columns in element differences of chief.in_plane,
+    G(theta0)^-1 V."""
     v = eigvecs_closed(chief, domain)
     if domain == "qns":
         return v
-    return g_inverse(chief, chief.theta0, domain) @ v
+    return g_inverse(chief.in_plane, chief.theta0, domain) @ v
 
 
 def _solution_stack(chief, domain, theta, w):
     """G(theta) P(theta) (I + (theta - theta0) R) w: the solutions through
-    the element-difference columns w, in domain coordinates.
+    the element-difference columns w (of chief.in_plane for a local
+    domain, see _element_basis), in domain coordinates.
 
     Columns 1-5 of w are null directions of R, so R w = R21 w[0, 5] e1
     e6^T: the drift enters through column 6 alone, and the rounding in
@@ -91,7 +94,7 @@ def _solution_stack(chief, domain, theta, w):
                        * w[0, 5])[..., None] * p[..., :, 1]
     if domain == "qns":
         return psi
-    return geo_map(chief, theta, domain) @ psi
+    return geo_map(chief.in_plane, theta, domain) @ psi
 
 
 def reconstruct(chief, constants, theta, domain=None):
@@ -238,10 +241,14 @@ def integrate_constants(chief, domain, c0, t_grid, control_fn=None,
                         extra_fn=None):
     """Integrate the variation of the constants over t_grid.
 
-    control_fn(t, x) returns the LVLH control acceleration (km/s^2);
-    extra_fn(t, x) returns a 6-vector deviation from the nominal linear
-    state rate. Returns an array (len(t_grid), 6) of constants.
+    control_fn(t, x) returns the LVLH control acceleration (km/s^2), so
+    it needs the "cartesian" domain (ValueError otherwise); extra_fn(t, x)
+    returns a 6-vector deviation from the nominal linear state rate in
+    domain coordinates. Returns an array (len(t_grid), 6) of constants.
     """
+    if control_fn is not None and domain != "cartesian":
+        raise ValueError(f"control_fn is an LVLH acceleration, which enters "
+                         f"the cartesian domain only, not {domain!r}")
     psi = psi_time_factory(chief, domain)
 
     def rhs(t, c):

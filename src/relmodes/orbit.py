@@ -12,7 +12,7 @@ All angles are radians, lengths km, gravitational parameter km^3/s^2.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -113,6 +113,13 @@ class ChiefOrbit:
     @cached_property
     def period(self):
         return 2.0 * math.pi / self.n
+
+    @cached_property
+    def in_plane(self):
+        """The same in-plane orbit at i = pi/2, Omega = 0: the local maps
+        G(theta) M G(theta0)^-1 do not depend on i or Omega, so they are
+        evaluated here, where no node term cancels."""
+        return replace(self, inc=0.5 * math.pi, raan=0.0)
 
     @cached_property
     def epoch(self):

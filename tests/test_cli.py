@@ -11,10 +11,14 @@ from relmodes.io import (chief_from_config, qns_diff_from_classical,
                          read_trajectory_csv, write_trajectory_csv)
 from relmodes import extract_constants, lf_transform, time_to_theta
 
-from conftest import SINGULAR_ORBITS
+from conftest import SINGULAR_ORBITS, integrate_cartesian, scaled_error
 
 MOLNIYA_ORBIT = {"a_km": 26600.0, "e": 0.74, "i_deg": 63.4, "raan_deg": 0.0,
                  "argp_deg": 270.0, "f0_deg": 90.0}
+# every key some command reads
+FULL_CONFIG = {"orbit": MOLNIYA_ORBIT, "state0": [0.3, -0.2, 0.1, 0, 0, 0],
+               "constants": [0.0] * 6, "x0_km": 0.08, "y0_km": 0.09,
+               "xdot0_list_kmps": [0.0]}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -81,6 +85,51 @@ class TestParser:
         args = build_parser().parse_args(argv + ["--config", "c.json"])
         assert args.config == "c.json"
 
+    @pytest.mark.parametrize("argv", [
+        ["floquet-num", "--tol", "nan"], ["floquet-num", "--tol", "-1"],
+        ["floquet-num", "--tol", "0"], ["floquet-num", "--tol", "inf"],
+        ["decompose", "--tol", "nan"], ["decompose", "--tol", "-0.5"],
+        ["decompose", "--periods", "0"], ["decompose", "--periods", "-1"],
+        ["modes", "--periods", "nan"], ["reconstruct", "--periods", "inf"],
+        ["sweep", "--periods", "1e400"]], ids=" ".join)
+    def test_bad_tol_or_periods_rejected(self, tmp_path, capsys, argv):
+        """floquet-num needs a finite --tol > 0, decompose a finite --tol
+        >= 0, and --periods must be finite and > 0: other values exit 2
+        with an error line naming the flag, before any work."""
+        cfg = write_config(tmp_path, FULL_CONFIG)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", cfg, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and argv[1] in err
+        assert not out.exists()
+
+    def test_zero_drift_threshold_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, FULL_CONFIG)
+        assert main(["decompose", "--config", cfg, "--tol", "0",
+                     "--periods", "0.1", "--out", str(tmp_path / "o")]) == 0
+
+
+MISSING_KEYS = [("reconstruct", "constants"), ("sweep", "x0_km"),
+                ("sweep", "xdot0_list_kmps"), ("modes", "a_km"),
+                ("decompose", "e"), ("validate", "i_deg"),
+                ("floquet-num", "a_km")]
+
+
+@pytest.mark.parametrize("command, key", MISSING_KEYS,
+                         ids=[f"{c}-{k}" for c, k in MISSING_KEYS])
+def test_missing_config_key_named(tmp_path, capsys, command, key):
+    """A config without a required key exits 2 with an error line that
+    names the key, not a KeyError traceback."""
+    payload = dict(FULL_CONFIG, orbit=dict(MOLNIYA_ORBIT))
+    del (payload["orbit"] if key in MOLNIYA_ORBIT else payload)[key]
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and repr(key) in err
+
 
 class TestModesCommand:
     def test_molniya_mode_files(self, tmp_path):
@@ -138,15 +187,22 @@ class TestDecomposeCommand:
             acc += contrib[:, 2:8]
         assert np.max(np.abs(acc - total[:, 2:8])) < 1e-9
 
-    def test_equatorial_chief_raises_inclination_error(self, tmp_path,
-                                                       capsys):
-        cfg = write_config(tmp_path, {
-            "orbit": dict(MOLNIYA_ORBIT, i_deg=0.0),
-            "state0": [0.3, -0.2, 0.1, 1e-4, -2e-4, 5e-5],
-        })
+    def test_equatorial_chief_matches_integration(self, tmp_path):
+        """The local motion does not read the node, so an i = 0 chief
+        decomposes, and its trajectory is the integrated plant's."""
+        orbit = dict(MOLNIYA_ORBIT, i_deg=0.0)
+        x0 = np.array([0.3, -0.2, 0.1, 1e-4, -2e-4, 5e-5])
+        cfg = write_config(tmp_path, {"orbit": orbit, "state0": x0.tolist()})
+        out = str(tmp_path / "out")
         assert main(["decompose", "--config", cfg, "--rep", "cart",
-                     "--out", str(tmp_path / "out")]) == 2
-        assert "equatorial chief" in capsys.readouterr().err
+                     "--out", out, "--periods", "1"]) == 0
+        thetas, _, states = read_trajectory_csv(
+            os.path.join(out, "trajectory.csv"))
+        chief = chief_from_config(orbit)
+        ths = chief.theta0 + np.linspace(0.0, 2.0 * math.pi, len(thetas))
+        np.testing.assert_allclose(thetas, ths, rtol=1e-14, atol=0.0)
+        assert scaled_error(states, integrate_cartesian(chief, x0, ths)) \
+            < 1e-12
 
     def test_drifting_input_flagged(self, tmp_path):
         cfg = write_config(tmp_path, {

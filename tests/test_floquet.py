@@ -304,6 +304,27 @@ class TestStateTransition:
                                integrate_cartesian(chief, x0, ths))
             assert err < 1e-12
 
+    @pytest.mark.parametrize("raan", [0.3, 2.1])
+    @pytest.mark.parametrize("inc", [0.0, 2e-9, 1e-8, 1.107, math.pi])
+    def test_local_maps_read_only_the_in_plane_orbit(self, generic_chief,
+                                                     inc, raan):
+        """The local reductions do not depend on i or Omega: on the generic
+        in-plane orbit they are bit-identical at every inclination and
+        node, equatorial chiefs included, and match the integrated plant
+        there."""
+        chief = make_chief(26600.0, 0.74, inc, raan, math.radians(215.0),
+                           math.radians(40.0))
+        ths = chief.theta0 + np.linspace(0.0, TWO_PI, 121)
+        for domain in ("cartesian", "spherical"):
+            for fn in (state_transition, modal_state_matrix, lf_transform):
+                np.testing.assert_array_equal(
+                    fn(chief, domain, ths), fn(generic_chief, domain, ths))
+        if inc in (0.0, math.pi):
+            x0 = np.array([0.3, -0.5, 0.1, 2e-5, 1e-5, -3e-5])
+            err = scaled_error(state_transition(chief, "cartesian", ths) @ x0,
+                               integrate_cartesian(chief, x0, ths))
+            assert err < 1e-12
+
     def test_matches_modal_solution(self, rng):
         for _ in range(20):
             chief = random_chief(rng)

@@ -444,6 +444,16 @@ class TestConstantsDynamics:
         assert (np.linalg.norm(dc_modal - dc_state)
                 < 1e-6 * np.linalg.norm(dc_state))
 
+    @pytest.mark.parametrize("domain", ["qns", "spherical"])
+    def test_control_outside_cartesian_rejected(self, generic_chief, domain):
+        # the control is an LVLH acceleration: it enters the Cartesian
+        # state rate only, so another domain would get wrong constants
+        c0 = np.array([1e-4, 2e-4, -1e-4, 3e-5, 1e-5, 0.0])
+        t_arc = np.linspace(0.0, generic_chief.period / 15.0, 3)
+        with pytest.raises(ValueError, match="cartesian"):
+            integrate_constants(generic_chief, domain, c0, t_arc,
+                                control_fn=lambda t, x: np.ones(3) * 1e-9)
+
     def test_artificial_plant_deviation(self, generic_chief, rng):
         chief = generic_chief
         psi = psi_time_factory(chief, "cartesian")
