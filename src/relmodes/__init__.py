@@ -21,7 +21,7 @@ from .geometry import (SphState, cart_sph_linear, cart_sph_linear_at,
 from .modal import (FamilyMember, StationaryPlane,
                     constants_dynamics, extract_constants,
                     integrate_constants, mode_trajectory, modal_state_matrix,
-                    no_drift_maneuver_line, psi_time_factory, rebase_chief,
+                    no_drift_maneuver_line, rebase_chief,
                     reconstruct, remap_epoch, stationary_plane,
                     sweep_bounded_family)
 from .numeric import (Eigenstructure, NumericFloquetResult,

@@ -5,10 +5,12 @@ constants under control or extra forces.
 
 All trajectory-level evaluations run in the theta domain
 (x(theta) = sum_i c_i P(theta) v_i, plus the drift chain); the constants
-dynamics integrate in the time domain.
+dynamics integrate in the eccentric anomaly, where theta and t are both
+closed form.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +21,8 @@ from .floquet import (ModalConstants, _drift_row, _lti_scale,
                       drift_constant, eigvecs_closed, lf_qns,
                       modal_constants, qns_r21, state_transition)
 from .geometry import g_inverse, geo_map
-from .orbit import eval_at_theta, time_to_theta
+from .orbit import (_eccentric_to_theta, _eccentric_to_time,
+                    _time_to_eccentric, eval_at_theta)
 
 
 @dataclass(frozen=True)
@@ -203,38 +206,29 @@ def sweep_bounded_family(chief, x0, y0, xdot0_list):
 # variation of the modal constants
 # ---------------------------------------------------------------------------
 
-_B_CART = np.vstack([np.zeros((3, 3)), np.eye(3)])
 _RTOL, _ATOL = 1e-12, 1e-14  # integrate_constants
 
 
-def psi_time_factory(chief, domain):
-    """Solution matrix at time t since epoch: Psi(t) is the theta-domain
-    modal_state_matrix at theta(t), so Psi(t) c is the modal state at t.
+def constants_dynamics(psi_mat, domain, control=None, deviation=None):
+    """Rate of the modal constants, Psi^-1 (B u + delta), with psi_mat the
+    solution matrix in `domain` coordinates.
+
+    `control` is an LVLH acceleration u (km/s^2), which enters the
+    velocity rows of the "cartesian" domain only (ValueError otherwise);
+    `deviation` is the 6-vector delta of the true state rate from the
+    nominal linear one beyond the control (for example deltaA @ x). With
+    neither the constants are stationary.
     """
-    # psi runs inside ODE right-hand sides, so G(theta0)^-1 is taken once
-    # here instead of once per step
-    w = _element_basis(chief, domain)
-
-    def psi(t):
-        return _solution_stack(chief, domain, time_to_theta(chief, t), w)
-
-    return psi
-
-
-def constants_dynamics(psi_mat, state, control=None, extra_fn=None):
-    """Rate of the modal constants: Psi^-1 (f(x, u, t) - A x).
-
-    `extra_fn(state)` supplies any deviation of the true state rate from
-    the nominal linear model beyond the control input (for example
-    deltaA @ x); with neither control nor deviation the constants are
-    stationary.
-    """
-    rhs = np.zeros(6)
+    rate = np.zeros(6)
     if control is not None:
-        rhs += _B_CART @ np.asarray(control, dtype=float)
-    if extra_fn is not None:
-        rhs = rhs + np.asarray(extra_fn(state), dtype=float)
-    return np.linalg.solve(psi_mat, rhs)
+        if domain != "cartesian":
+            raise ValueError(f"the control is an LVLH acceleration, which "
+                             f"enters the cartesian domain only, not "
+                             f"{domain!r}")
+        rate[3:] = control
+    if deviation is not None:
+        rate = rate + np.asarray(deviation, dtype=float)
+    return np.linalg.solve(psi_mat, rate)
 
 
 def integrate_constants(chief, domain, c0, t_grid, control_fn=None,
@@ -245,24 +239,27 @@ def integrate_constants(chief, domain, c0, t_grid, control_fn=None,
     it needs the "cartesian" domain (ValueError otherwise); extra_fn(t, x)
     returns a 6-vector deviation from the nominal linear state rate in
     domain coordinates. Returns an array (len(t_grid), 6) of constants.
+
+    The independent variable is the eccentric anomaly E: theta(E) and
+    t(E) are closed form and dt/dE = (1 - e cos E) / n, so no Kepler
+    solve runs inside the integration, and the steps gather at periapsis.
     """
-    if control_fn is not None and domain != "cartesian":
-        raise ValueError(f"control_fn is an LVLH acceleration, which enters "
-                         f"the cartesian domain only, not {domain!r}")
-    psi = psi_time_factory(chief, domain)
+    w = _element_basis(chief, domain)
+    e, n = chief.e, chief.n
 
-    def rhs(t, c):
-        m = psi(t)
+    def rhs(big_e, c):
+        m = _solution_stack(chief, domain, _eccentric_to_theta(chief, big_e),
+                            w)
+        t = _eccentric_to_time(chief, big_e)
         x = m @ c
-        vec = np.zeros(6)
-        if control_fn is not None:
-            vec += _B_CART @ np.asarray(control_fn(t, x), dtype=float)
-        if extra_fn is not None:
-            vec = vec + np.asarray(extra_fn(t, x), dtype=float)
-        return np.linalg.solve(m, vec)
+        u = None if control_fn is None else control_fn(t, x)
+        d = None if extra_fn is None else extra_fn(t, x)
+        return (constants_dynamics(m, domain, u, d)
+                * ((1.0 - e * math.cos(big_e)) / n))
 
-    sol = solve_ivp(rhs, (t_grid[0], t_grid[-1]), np.asarray(c0, dtype=float),
-                    method="DOP853", t_eval=t_grid, rtol=_RTOL, atol=_ATOL)
+    e_grid = _time_to_eccentric(chief, t_grid)
+    sol = solve_ivp(rhs, (e_grid[0], e_grid[-1]), np.asarray(c0, dtype=float),
+                    method="DOP853", t_eval=e_grid, rtol=_RTOL, atol=_ATOL)
     if not sol.success:
         raise IntegrationError(f"constants integration failed: {sol.message}")
     return sol.y.T

@@ -150,12 +150,13 @@ def _exp_plant(lam, s, nilpotent_index=None):
     s = np.asarray(s, dtype=float)
     if nilpotent_index is None:
         return expm(lam * s[..., None, None])
-    k = nilpotent_index
-    powers = [np.eye(lam.shape[0])]
-    for _ in range(1, k):
-        powers.append(powers[-1] @ lam)
-    coef = s[..., None] ** np.arange(k) / [math.factorial(j) for j in range(k)]
-    return (coef @ np.reshape(powers, (k, -1))).reshape(s.shape + lam.shape)
+    # term by term, broadcast over s: a scalar s and an array s round alike
+    power = np.eye(lam.shape[0])
+    out = np.broadcast_to(power, s.shape + lam.shape)
+    for j in range(1, nilpotent_index):
+        power = power @ lam
+        out = out + (s**j / math.factorial(j))[..., None, None] * power
+    return out
 
 
 def real_matrix_log(m, period=1.0):

@@ -8,6 +8,11 @@ latitude theta is treated as a continuously increasing real (never
 wrapped mod 2*pi) so that secular terms proportional to (theta - theta0)
 are well defined.  Time is anchored by t(theta0) = 0.
 
+Latitude and time meet in the eccentric anomaly E: theta(E) and t(E) are
+closed form and continuous in E, and E(t) is one vectorised Newton solve
+of Kepler's equation, so theta_to_time and time_to_theta each take a
+scalar or an array through one path.
+
 All angles are radians, lengths km, gravitational parameter km^3/s^2.
 """
 
@@ -111,6 +116,12 @@ class ChiefOrbit:
         return math.sqrt(self.mu / self.a**3)
 
     @cached_property
+    def m0(self):
+        """Epoch mean anomaly, unwrapped with f0."""
+        big_e = _theta_to_eccentric(self, self.theta0)
+        return float(big_e - self.e * math.sin(big_e))
+
+    @cached_property
     def period(self):
         return 2.0 * math.pi / self.n
 
@@ -199,44 +210,29 @@ def eval_at_theta(chief, theta):
     )
 
 
-def _true_to_mean_unwrapped(e, f):
-    """Mean anomaly as a continuous (unwrapped) function of true anomaly.
-
-    f may be an array. The half-angle atan2 form is finite on the whole
-    wrapped range [-pi, pi], apoapsis included.
-    """
-    k = np.rint(f / _TWO_PI)
-    f_mod = f - _TWO_PI * k
-    big_e = 2.0 * np.arctan2(math.sqrt(1.0 - e) * np.sin(0.5 * f_mod),
-                             math.sqrt(1.0 + e) * np.cos(0.5 * f_mod))
-    return big_e - e * np.sin(big_e) + _TWO_PI * k
+def _theta_to_eccentric(chief, theta):
+    """Unwrapped eccentric anomaly at the unwrapped argument of latitude
+    theta (scalar or array): E = f - 2 atan2(beta sin f, 1 + beta cos f)
+    with f = theta - w and beta = e / (1 + eta), continuous in f, apoapsis
+    included."""
+    f = np.asarray(theta) - chief.argp
+    beta = chief.e / (1.0 + chief.eta)
+    return f - 2.0 * np.arctan2(beta * np.sin(f), 1.0 + beta * np.cos(f))
 
 
-def _true_to_mean_scalar(e, f):
-    """_true_to_mean_unwrapped for one Python float, in math: time_to_theta
-    runs inside ODE right-hand sides, where numpy's per-call overhead on
-    scalars costs several times the arithmetic."""
-    f_mod = math.remainder(f, _TWO_PI)
-    k = round((f - f_mod) / _TWO_PI)
-    big_e = 2.0 * math.atan2(math.sqrt(1.0 - e) * math.sin(0.5 * f_mod),
-                             math.sqrt(1.0 + e) * math.cos(0.5 * f_mod))
-    return big_e - e * math.sin(big_e) + _TWO_PI * k
+def _eccentric_to_theta(chief, big_e):
+    """Inverse of _theta_to_eccentric:
+    f = E + 2 atan2(beta sin E, 1 - beta cos E)."""
+    beta = chief.e / (1.0 + chief.eta)
+    return (big_e + 2.0 * np.arctan2(beta * np.sin(big_e),
+                                     1.0 - beta * np.cos(big_e))
+            + chief.argp)
 
 
-def _solve_kepler(M, e):
-    """Eccentric anomaly from mean anomaly, Newton iteration with the Danby
-    starter, tolerance 1e-13 rad."""
-    m_mod = math.remainder(M, 2.0 * math.pi)
-    k = round((M - m_mod) / (2.0 * math.pi))
-    big_e = m_mod + 0.85 * e * math.copysign(1.0, math.sin(m_mod))
-    for _ in range(_KEPLER_MAX_ITER):
-        delta = (big_e - e * math.sin(big_e) - m_mod) / (1.0 - e * math.cos(big_e))
-        big_e -= delta
-        if abs(delta) < _KEPLER_TOL:
-            return big_e + 2.0 * math.pi * k
-    raise KeplerConvergenceError(
-        f"Kepler iteration did not converge for M={M!r}, e={e!r}"
-    )
+def _eccentric_to_time(chief, big_e):
+    """Time since epoch at the unwrapped eccentric anomaly E, from Kepler's
+    equation: t = (E - e sin E - M0) / n."""
+    return (big_e - chief.e * np.sin(big_e) - chief.m0) / chief.n
 
 
 def theta_to_time(chief, theta):
@@ -246,10 +242,7 @@ def theta_to_time(chief, theta):
     t(theta0) = 0; t is monotone increasing and gains one period per
     2*pi of theta.
     """
-    e = chief.e
-    m = _true_to_mean_unwrapped(e, np.asarray(theta) - chief.argp)
-    m0 = _true_to_mean_unwrapped(e, chief.f0)
-    return (m - m0) / chief.n
+    return _eccentric_to_time(chief, _theta_to_eccentric(chief, theta))
 
 
 def _remainder_2pi(x):
@@ -261,18 +254,17 @@ def _remainder_2pi(x):
     return r, np.rint((x - r) / _TWO_PI)
 
 
-def _solve_kepler_array(m, e):
-    """_solve_kepler on an array of mean anomalies: one Newton iteration
-    over the whole array, each element stopped where the scalar one
-    stops."""
-    m_mod, k = _remainder_2pi(m)
+def _time_to_eccentric(chief, t):
+    """Unwrapped eccentric anomaly at time t since epoch (scalar or array):
+    Kepler's equation solved by Newton iteration with the Danby starter on
+    the mean anomaly reduced to [-pi, pi], to 1e-13 rad."""
+    e = chief.e
+    m_mod, k = _remainder_2pi(chief.m0 + chief.n * np.asarray(t, dtype=float))
     big_e = m_mod + 0.85 * e * np.copysign(1.0, np.sin(m_mod))
-    active = np.ones(big_e.shape, dtype=bool)
     for _ in range(_KEPLER_MAX_ITER):
         delta = (big_e - e * np.sin(big_e) - m_mod) / (1.0 - e * np.cos(big_e))
-        big_e = np.where(active, big_e - delta, big_e)
-        active &= np.abs(delta) >= _KEPLER_TOL
-        if not active.any():
+        big_e = big_e - delta
+        if (np.abs(delta) < _KEPLER_TOL).all():
             return big_e + _TWO_PI * k
     raise KeplerConvergenceError(
         f"Kepler iteration did not converge for e={e!r}")
@@ -280,23 +272,5 @@ def _solve_kepler_array(m, e):
 
 def time_to_theta(chief, t):
     """Unwrapped argument of latitude at time t since epoch (s); t is a
-    scalar or an array, and the result has its shape.
-
-    A Python float takes a scalar path in math: it runs inside ODE
-    right-hand sides, where numpy's per-call overhead costs several times
-    the arithmetic.
-    """
-    e = chief.e
-    m0 = _true_to_mean_scalar(e, chief.f0)
-    if isinstance(t, (float, int)):
-        big_e = _solve_kepler(m0 + chief.n * t, e)
-        e_mod = math.remainder(big_e, _TWO_PI)
-        k = round((big_e - e_mod) / _TWO_PI)
-        f = 2.0 * math.atan2(math.sqrt(1.0 + e) * math.sin(0.5 * e_mod),
-                             math.sqrt(1.0 - e) * math.cos(0.5 * e_mod))
-        return f + _TWO_PI * k + chief.argp
-    big_e = _solve_kepler_array(m0 + chief.n * np.asarray(t, dtype=float), e)
-    e_mod, k = _remainder_2pi(big_e)
-    f = 2.0 * np.arctan2(math.sqrt(1.0 + e) * np.sin(0.5 * e_mod),
-                         math.sqrt(1.0 - e) * np.cos(0.5 * e_mod))
-    return f + _TWO_PI * k + chief.argp
+    scalar or an array, and the result has its shape."""
+    return _eccentric_to_theta(chief, _time_to_eccentric(chief, t))

@@ -13,8 +13,8 @@ from relmodes import (cw_modal_decomp, cw_planar_eigvecs, cw_planar_plant,
                       cw_stm_planar, drift_constant, geo_map,
                       integrate_constants, lf_defining_residual, lf_qns,
                       lf_transform, lti_closed, lti_qns, make_chief,
-                      map_lti, modal_constants, mode_trajectory,
-                      numeric_modal_decomp, propagate_linear, psi_time_factory,
+                      map_lti, modal_constants, modal_state_matrix,
+                      mode_trajectory, numeric_modal_decomp, propagate_linear,
                       qns_plant_theta, rebase_chief,
                       reconstruct, remap_epoch, stationary_plane,
                       state_transition, time_to_theta)
@@ -296,8 +296,9 @@ def test_criterion_09_variation_of_constants():
 
     sol = solve_ivp(rhs, (0.0, t_arc[-1]), x0, method="DOP853", rtol=1e-12,
                     atol=1e-14)
-    psi = psi_time_factory(chief, "cartesian")
-    dc_state = np.linalg.solve(psi(t_arc[-1]), sol.y[:, -1]) - c0.c
+    psi_end = modal_state_matrix(chief, "cartesian",
+                                 time_to_theta(chief, t_arc[-1]))
+    dc_state = np.linalg.solve(psi_end, sol.y[:, -1]) - c0.c
     dc_modal = cs_f[-1] - c0.c
     forced = np.linalg.norm(dc_modal - dc_state) / np.linalg.norm(dc_state)
     ok = unforced < 1e-8 and forced < 1e-6

@@ -91,11 +91,12 @@ class TestParser:
         ["decompose", "--tol", "nan"], ["decompose", "--tol", "-0.5"],
         ["decompose", "--periods", "0"], ["decompose", "--periods", "-1"],
         ["modes", "--periods", "nan"], ["reconstruct", "--periods", "inf"],
-        ["sweep", "--periods", "1e400"]], ids=" ".join)
+        ["sweep", "--periods", "1e400"], ["decompose", "--periods", "1001"],
+        ["decompose", "--periods", "1e7"]], ids=" ".join)
     def test_bad_tol_or_periods_rejected(self, tmp_path, capsys, argv):
         """floquet-num needs a finite --tol > 0, decompose a finite --tol
-        >= 0, and --periods must be finite and > 0: other values exit 2
-        with an error line naming the flag, before any work."""
+        >= 0, and --periods must be > 0 and at most 1000: other values exit
+        2 with an error line naming the flag, before any work."""
         cfg = write_config(tmp_path, FULL_CONFIG)
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:

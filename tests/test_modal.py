@@ -9,7 +9,7 @@ from relmodes import (NearSingularMatrixError, cart_sph_linear_at,
                       geo_map, integrate_constants, lti_closed, make_chief,
                       modal_constants, modal_state_matrix, mode_trajectory,
                       no_drift_maneuver_line,
-                      propagate_linear, psi_time_factory, rebase_chief,
+                      propagate_linear, rebase_chief,
                       reconstruct, remap_epoch,
                       stationary_plane, sweep_bounded_family, time_to_theta)
 from relmodes.plants import cartesian_plant_keplerian, qns_plant_time
@@ -421,28 +421,40 @@ class TestConstantsDynamics:
         drift = np.max(np.linalg.norm(cs - c0.c, axis=1))
         assert drift < 1e-8 * np.linalg.norm(c0.c)
 
-    def test_forced_dual_path(self, generic_chief, rng):
+    @pytest.mark.parametrize("varying", [False, True],
+                             ids=["constant", "cos"])
+    @pytest.mark.parametrize("periods", [1.0 / 15.0, 1.0, 3.0],
+                             ids=["T/15", "T", "3T"])
+    def test_forced_dual_path(self, generic_chief, rng, periods, varying):
+        # u0 cos(n t) reads the time at each step, so a wrong t(E) or epoch
+        # offset would show; a constant control cannot catch one
         chief = generic_chief
         x0 = bounded_state(chief, rng, 2e-5)
         c0 = modal_constants(chief, x0, "cartesian")
-        u = np.array([2e-9, 1e-8, -4e-9])
-        t_arc = np.linspace(0.0, chief.period / 15.0, 9)
+        u0 = np.array([2e-9, 1e-8, -4e-9])
+
+        def u(t):
+            return u0 * math.cos(chief.n * t) if varying else u0
+
+        t_arc = np.linspace(0.0, periods * chief.period, 9)
         cs = integrate_constants(chief, "cartesian", c0.c, t_arc,
-                                 control_fn=lambda t, x: u)
+                                 control_fn=lambda t, x: u(t))
         b = np.vstack([np.zeros((3, 3)), np.eye(3)])
 
         def rhs(t, x):
             th = time_to_theta(chief, t)
-            return cartesian_plant_keplerian(chief, th) @ x + b @ u
+            return cartesian_plant_keplerian(chief, th) @ x + b @ u(t)
 
         sol = solve_ivp(rhs, (0.0, t_arc[-1]), x0, method="DOP853",
                         rtol=1e-12, atol=1e-14)
-        psi = psi_time_factory(chief, "cartesian")
-        c_end = np.linalg.solve(psi(t_arc[-1]), sol.y[:, -1])
+        psi_end = modal_state_matrix(chief, "cartesian",
+                                     time_to_theta(chief, t_arc[-1]))
+        c_end = np.linalg.solve(psi_end, sol.y[:, -1])
         dc_modal = cs[-1] - c0.c
         dc_state = c_end - c0.c
+        # the state reference at rtol 1e-12 sets the floor: up to 6e-11
         assert (np.linalg.norm(dc_modal - dc_state)
-                < 1e-6 * np.linalg.norm(dc_state))
+                < 1e-9 * np.linalg.norm(dc_state))
 
     @pytest.mark.parametrize("domain", ["qns", "spherical"])
     def test_control_outside_cartesian_rejected(self, generic_chief, domain):
@@ -456,28 +468,39 @@ class TestConstantsDynamics:
 
     def test_artificial_plant_deviation(self, generic_chief, rng):
         chief = generic_chief
-        psi = psi_time_factory(chief, "cartesian")
+        th = time_to_theta(chief, 10.0)
+        psi = modal_state_matrix(chief, "cartesian", th)
         x = bounded_state(chief, rng)
         delta_a = np.zeros((6, 6))
         delta_a[3, 0] = 1e-9
-        rate = constants_dynamics(psi(10.0), x,
-                                  extra_fn=lambda s: delta_a @ s)
+        rate = constants_dynamics(psi, "cartesian", deviation=delta_a @ x)
         assert np.linalg.norm(rate) > 0.0
-        expect = np.linalg.solve(psi(10.0), delta_a @ x)
+        expect = np.linalg.solve(psi, delta_a @ x)
         assert np.allclose(rate, expect, rtol=1e-12)
+        u = np.array([2e-9, 1e-8, -4e-9])
+        rate = constants_dynamics(psi, "cartesian", u, delta_a @ x)
+        expect = np.linalg.solve(psi, np.concatenate([np.zeros(3), u])
+                                 + delta_a @ x)
+        assert np.allclose(rate, expect, rtol=1e-12)
+        # u is an LVLH acceleration, which enters the cartesian rate only
+        for domain in ("qns", "spherical"):
+            with pytest.raises(ValueError, match="cartesian"):
+                constants_dynamics(modal_state_matrix(chief, domain, th),
+                                   domain, u)
 
     @pytest.mark.parametrize("domain", ["qns", "cartesian", "spherical"])
     def test_psi_time_is_theta_domain_matrix(self, generic_chief, domain):
-        # Psi(t) is a fundamental matrix: the theta-domain Psi at theta(t),
-        # and each column solves x' = A_t x
+        # the theta-domain Psi at theta(t) is a fundamental matrix in time:
+        # each column solves x' = A_t x
         chief = generic_chief
-        psi = psi_time_factory(chief, domain)
+
+        def psi(t):
+            return modal_state_matrix(chief, domain, time_to_theta(chief, t))
+
         h = 1e-4 * chief.period
         for t in chief.period * np.array([0.3, 1.1, 2.2]):
             th = time_to_theta(chief, t)
             m = psi(t)
-            ref = modal_state_matrix(chief, domain, th)
-            assert np.max(np.abs(m - ref)) < 1e-12 * np.max(np.abs(ref))
             # fourth-order central difference; each row of the residual is
             # scaled by the largest term A_ij Psi_jk that feeds it
             dm = (8.0 * (psi(t + h) - psi(t - h))
