@@ -4,6 +4,9 @@ Closed-form periodic-to-constant reductions of linearized satellite
 relative motion about a closed two-body orbit (element differences,
 LVLH Cartesian, local spherical), the modal machinery built on them,
 and a generic numeric pipeline for near-periodic plants.
+
+scipy is imported inside the functions that use it, so importing the
+package, and running the closed-form commands, loads numpy alone.
 """
 
 from .errors import (InclinationSingularityError, IntegrationError,

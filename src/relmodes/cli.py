@@ -418,7 +418,8 @@ def build_parser():
     p_num = sub.add_parser("floquet-num", help="numeric reduction pipeline")
     common(p_num)
     p_num.add_argument("--tol", type=float, default=1e-12,
-                       help="relative tolerance of the STM integration")
+                       help="summed local error of the Magnus steps of "
+                            "the STM integration")
     p_num.add_argument("--plant", default="cartesian-keplerian",
                        choices=["cw", "cartesian-keplerian", "qns"])
     p_num.add_argument("--samples", type=int, default=1024)

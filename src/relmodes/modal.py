@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError
 from .floquet import (ModalConstants, _drift_row, _lti_scale,
@@ -238,12 +237,16 @@ def integrate_constants(chief, domain, c0, t_grid, control_fn=None,
     control_fn(t, x) returns the LVLH control acceleration (km/s^2), so
     it needs the "cartesian" domain (ValueError otherwise); extra_fn(t, x)
     returns a 6-vector deviation from the nominal linear state rate in
-    domain coordinates. Returns an array (len(t_grid), 6) of constants.
+    domain coordinates. Returns an array (len(t_grid), 6) of constants;
+    over a zero span (one time, or the first equal to the last) that is c0
+    on every row, since the constants cannot move in zero time.
 
     The independent variable is the eccentric anomaly E: theta(E) and
     t(E) are closed form and dt/dE = (1 - e cos E) / n, so no Kepler
     solve runs inside the integration, and the steps gather at periapsis.
     """
+    from scipy.integrate import solve_ivp
+
     w = _element_basis(chief, domain)
     e, n = chief.e, chief.n
 
@@ -257,8 +260,11 @@ def integrate_constants(chief, domain, c0, t_grid, control_fn=None,
         return (constants_dynamics(m, domain, u, d)
                 * ((1.0 - e * math.cos(big_e)) / n))
 
+    c0 = np.asarray(c0, dtype=float)
     e_grid = _time_to_eccentric(chief, t_grid)
-    sol = solve_ivp(rhs, (e_grid[0], e_grid[-1]), np.asarray(c0, dtype=float),
+    if e_grid[0] == e_grid[-1]:
+        return np.tile(c0, (e_grid.size, 1))
+    sol = solve_ivp(rhs, (e_grid[0], e_grid[-1]), c0,
                     method="DOP853", t_eval=e_grid, rtol=_RTOL, atol=_ATOL)
     if not sol.success:
         raise IntegrationError(f"constants integration failed: {sol.message}")

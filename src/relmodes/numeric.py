@@ -3,6 +3,12 @@ plants: state-transition-matrix integration, monodromy matrix, real
 matrix logarithm, periodic transform samples, Fourier fit of a
 near-periodic plant, and the Liouville check of det M.
 
+The state transition matrix is integrated by the sixth-order Magnus
+method on an adaptive grid, in numpy: the plant is evaluated in batches
+on the Gauss-Legendre nodes of a block of steps, each step's exponential
+is a scaled Taylor polynomial, and the running product is a doubling
+scan. The dense output is one partial Magnus step from a grid edge.
+
 The matrix logarithm has a dedicated unipotent branch (truncated power
 series of log(I + N) for numerically nilpotent N) because monodromy
 matrices of the two-body problem are identity plus a defective nilpotent
@@ -17,13 +23,27 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm, logm, matrix_balance
 
 from .errors import IntegrationError, MatrixLogError, PeriodicityError
 
-DEFAULT_RTOL = 1e-12
-DEFAULT_ATOL = 1e-13
+DEFAULT_TOL = 1e-12
+
+# the Magnus integrator of integrate_stm
+_GAUSS_NODES = 0.5 + (math.sqrt(15.0) / 10.0) * np.array([-1.0, 0.0, 1.0])
+# one step's nodes, then those of its two halves
+_DOUBLING = np.concatenate([_GAUSS_NODES, _GAUSS_NODES / 2.0,
+                            0.5 + _GAUSS_NODES / 2.0])
+_PILOT_STEPS = 128
+_PILOT_TRUST = 1e-3      # larger doubling errors are bisected, not scaled
+_MAX_BISECTIONS = 40
+_ERR_FLOOR = 1e-3        # of a column's largest entry, see _doubling_error
+_BLOCK = 256             # steps per plant call, exponential and product
+_MAX_STEPS = 100_000     # about tol = 1e-23 on the generic chief
+_EPS = np.finfo(float).eps
+_TAYLOR_COEFFS = 1.0 / np.array([math.factorial(j) for j in range(13)])
+# the largest 1-norm whose dropped Taylor tail, theta^13 / 13!, is under
+# the unit roundoff
+_TAYLOR_THETA = (math.factorial(13) * _EPS / 2.0) ** (1.0 / 13.0)
 
 _NILPOTENT_TOL = 1e-6
 _EXP_CHECK_TOL = 1e-8
@@ -102,30 +122,200 @@ class NumericFloquetResult:
         return np.real(self.lf_at(t) @ chi)
 
 
-def integrate_stm(plant_fn, t0, period, tol=DEFAULT_RTOL):
-    """Integrate the variational equation Phi' = A(t) Phi over one period.
+def integrate_stm(plant_fn, t0, period, tol=DEFAULT_TOL):
+    """Integrate the variational equation Phi' = A(t) Phi over one period
+    with the sixth-order Magnus method on three Gauss-Legendre nodes per
+    step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009).
 
-    Returns (monodromy, stm_at). stm_at(t) evaluates the DOP853 dense
-    output at t in [t0, t0 + period] (scalar or array), shape
-    t.shape + (dim, dim); it is I at t0 and the monodromy at t0 + period,
-    bit for bit.
+    The grid is adaptive (see _magnus_grid): the estimated local errors
+    of its steps sum to tol. plant_fn is called on arrays of nodes, once
+    per block of _BLOCK steps, and returns a t.shape + (dim, dim) stack
+    or one (dim, dim) matrix for a constant plant. A plant that is not
+    finite on the nodes raises IntegrationError.
+
+    Returns (monodromy, stm_at). stm_at(t) is the state transition matrix
+    at t in [t0, t0 + period] (scalar or array), shape t.shape +
+    (dim, dim): one partial Magnus step from the grid edge below t. It is
+    I at t0 and the monodromy at t0 + period, bit for bit.
     """
-    dim = np.shape(plant_fn(t0))[0]
+    if not (math.isfinite(period) and period > 0.0 and tol > 0.0):
+        raise ValueError(f"period (finite) and tol must be positive, not "
+                         f"{period!r} and {tol!r}")
+    edges, frame = _magnus_grid(plant_fn, float(t0), period, tol)
+    n_steps, dim = edges.size - 1, frame.shape[0]
 
-    def rhs(t, y):
-        return (plant_fn(t) @ y.reshape(dim, dim)).reshape(-1)
-
-    sol = solve_ivp(rhs, (t0, t0 + period), np.eye(dim).reshape(-1),
-                    method="DOP853", rtol=tol, atol=DEFAULT_ATOL,
-                    dense_output=True)
-    if not sol.success:
-        raise IntegrationError(f"STM integration failed: {sol.message}")
+    # the running product, in the balanced frame and block by block
+    phis = np.empty((n_steps + 1, dim, dim))
+    phis[0] = np.eye(dim)
+    for lo in range(0, n_steps, _BLOCK):
+        block = edges[lo:lo + _BLOCK + 1]
+        steps = _step_exponentials(plant_fn, block[:-1], np.diff(block),
+                                   frame)
+        phis[lo + 1:lo + block.size] = _cumulative_product(steps) @ phis[lo]
+    if not np.all(np.isfinite(phis[-1])):
+        raise IntegrationError("STM integration failed: the state "
+                               "transition matrix overflowed")
 
     def stm_at(t):
         t = np.asarray(t, dtype=float)
-        return np.moveaxis(sol.sol(t), 0, -1).reshape(t.shape + (dim, dim))
+        flat = t.reshape(-1)
+        k = np.clip(np.searchsorted(edges, flat, side="right") - 1, 0,
+                    n_steps)
+        dt = flat - edges[k]
+        out = phis[k]
+        inside = np.flatnonzero(dt != 0.0)  # off the grid edges
+        for lo in range(0, inside.size, _BLOCK):
+            idx = inside[lo:lo + _BLOCK]
+            out[idx] = _step_exponentials(plant_fn, edges[k[idx]], dt[idx],
+                                          frame) @ phis[k[idx]]
+        return (out / frame).reshape(t.shape + (dim, dim))
 
-    return stm_at(t0 + period), stm_at
+    return phis[-1] / frame, stm_at
+
+
+def _magnus_grid(plant_fn, t0, period, tol):
+    """Step edges over [t0, t0 + period] whose estimated local errors sum
+    to tol, and the frame: the entrywise factors d_j / d_i of D^-1 A D,
+    with D the powers of 2 that balance the mean plant.
+
+    A pilot pass of _PILOT_STEPS uniform steps estimates each step's
+    local error by step doubling (see _doubling_error). Pilot steps whose
+    estimate is too large to extrapolate are bisected until it is not.
+    """
+    from scipy.linalg import matrix_balance
+
+    h = np.full(_PILOT_STEPS, period / _PILOT_STEPS)
+    starts = t0 + h * np.arange(_PILOT_STEPS)
+    values = _plant_at(plant_fn, starts, h, _DOUBLING)
+    # powers of 2 are exact to apply and undo; balanced, the step norms
+    # and the Taylor terms do not mix km and km/s
+    d = matrix_balance(np.abs(values).mean(axis=(0, 1)), permute=False,
+                       separate=True)[1][0]
+    frame = d[None, :] / d[:, None]
+    values = values * frame
+    err = _doubling_error(values, h)
+    for _ in range(_MAX_BISECTIONS):
+        coarse = err > _PILOT_TRUST
+        if not coarse.any():
+            break
+        half = h[coarse] / 2.0
+        split = np.concatenate([starts[coarse], starts[coarse] + half])
+        half = np.tile(half, 2)
+        starts = np.concatenate([starts[~coarse], split])
+        h = np.concatenate([h[~coarse], half])
+        err = np.concatenate([err[~coarse], _doubling_error(
+            _plant_at(plant_fn, split, half, _DOUBLING) * frame, half)])
+    else:
+        raise IntegrationError(
+            "STM integration failed: the step-doubling error does not fall "
+            "under bisection; the plant is not smooth on the period")
+
+    # a sixth-order step's local error scales as h^7: pilot step k cut
+    # into m_k steps leaves err_k / m_k^6, and m_k = c err_k^(1/7) makes
+    # every final step's error c^-7 and their sum tol
+    order = np.argsort(starts)
+    root = np.maximum(err[order], _EPS) ** (1.0 / 7.0)
+    cumulative = np.concatenate([[0.0], np.cumsum(root)])
+    cumulative *= (cumulative[-1] / tol) ** (1.0 / 6.0)
+    if not cumulative[-1] <= _MAX_STEPS:
+        raise IntegrationError(
+            f"STM integration failed: tol={tol!r} asks for "
+            f"{cumulative[-1]:.3g} Magnus steps, more than {_MAX_STEPS}")
+    n_steps = max(1, math.ceil(cumulative[-1]))
+    edges = np.interp(np.linspace(0.0, cumulative[-1], n_steps + 1),
+                      cumulative, np.append(starts[order], t0 + period))
+    edges[0], edges[-1] = t0, t0 + period
+    return edges, frame
+
+
+def _plant_at(plant_fn, starts, h, fractions):
+    """The plant on the nodes s + f h of each step [s, s + h], one call;
+    shape (steps, len(fractions), dim, dim)."""
+    nodes = starts[:, None] + h[:, None] * fractions
+    values = np.asarray(plant_fn(nodes), dtype=float)
+    values = np.broadcast_to(values, nodes.shape + values.shape[-2:])
+    if not np.all(np.isfinite(values)):
+        raise IntegrationError("STM integration failed: the plant is not "
+                               "finite on the integration nodes")
+    return values
+
+
+def _step_exponentials(plant_fn, starts, h, frame):
+    """exp of the Magnus exponents of the steps [s, s + h], in the
+    balanced frame."""
+    values = _plant_at(plant_fn, starts, h, _GAUSS_NODES) * frame
+    return _expm_taylor(_magnus_exponent(values, h))
+
+
+def _commutator(x, y):
+    return x @ y - y @ x
+
+
+def _magnus_exponent(a, h):
+    """Sixth-order Magnus exponent of steps of length h, from the plant
+    a[:, i] on each step's Gauss-Legendre node i (Blanes, Casas, Oteo &
+    Ros 2009)."""
+    h = h[:, None, None]
+    a1 = h * a[:, 1]
+    a2 = (math.sqrt(15.0) / 3.0) * h * (a[:, 2] - a[:, 0])
+    a3 = (10.0 / 3.0) * h * (a[:, 2] - 2.0 * a[:, 1] + a[:, 0])
+    c1 = _commutator(a1, a2)
+    c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
+    return (a1 + a3 / 12.0
+            + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0)
+
+
+def _doubling_error(values, h):
+    """Local error of each step, estimated as the gap between one Magnus
+    step and two half steps (plant on the nodes of _DOUBLING). The gap is
+    taken entrywise against |exp Omega|, with a floor of _ERR_FLOOR of
+    each column's largest entry, so every block of a mixed-unit state
+    counts."""
+    half = h / 2.0
+    exps = _expm_taylor(np.concatenate([
+        _magnus_exponent(values[:, 0:3], h),
+        _magnus_exponent(values[:, 3:6], half),
+        _magnus_exponent(values[:, 6:9], half)]))
+    n = h.size
+    two = exps[2 * n:] @ exps[n:2 * n]
+    ref = np.abs(two)
+    ref = np.maximum(ref, _ERR_FLOOR * ref.max(axis=-2, keepdims=True))
+    return np.max(np.abs(exps[:n] - two) / ref, axis=(-2, -1))
+
+
+def _expm_taylor(x):
+    """exp of each matrix in the stack x: the degree-12 Taylor polynomial
+    of x / 2^s (Paterson-Stockmeyer), squared s times, with s per matrix
+    the least that brings its 1-norm under _TAYLOR_THETA."""
+    norm = np.abs(x).sum(axis=-2).max(axis=-1)
+    s = np.maximum(np.frexp(norm / _TAYLOR_THETA)[1], 0)
+    x = x * np.ldexp(1.0, -s)[:, None, None]
+    x2 = x @ x
+    x3 = x2 @ x
+    x4 = x2 @ x2
+    eye = np.eye(x.shape[-1])
+
+    def block(j):
+        c = _TAYLOR_COEFFS[4 * j:4 * j + 4]
+        return c[0] * eye + c[1] * x + c[2] * x2 + c[3] * x3
+
+    out = _TAYLOR_COEFFS[12] * x4 + block(2)
+    out = out @ x4 + block(1)
+    out = out @ x4 + block(0)
+    for j in range(int(s.max(initial=0))):
+        sq = s > j
+        out[sq] = out[sq] @ out[sq]
+    return out
+
+
+def _cumulative_product(steps):
+    """Running products steps[j] @ ... @ steps[0] of a stack, by doubling
+    (Hillis-Steele scan)."""
+    shift = 1
+    while shift < len(steps):
+        steps = np.concatenate([steps[:shift], steps[shift:] @ steps[:-shift]])
+        shift *= 2
+    return steps
 
 
 def _nilpotent_index(n_mat):
@@ -149,6 +339,7 @@ def _exp_plant(lam, s, nilpotent_index=None):
     """
     s = np.asarray(s, dtype=float)
     if nilpotent_index is None:
+        from scipy.linalg import expm
         return expm(lam * s[..., None, None])
     # term by term, broadcast over s: a scalar s and an array s round alike
     power = np.eye(lam.shape[0])
@@ -201,6 +392,7 @@ def real_matrix_log(m, period=1.0):
                 "monodromy has an eigenvalue on the negative real axis: no "
                 "real logarithm; try doubling the period"
             )
+        from scipy.linalg import expm, logm
         with warnings.catch_warnings():
             # scipy warns on its internal error estimate; the expm round
             # trip below is the authoritative check
@@ -246,8 +438,9 @@ def fourier_periodic_fit(values, t0, period, n_harmonics):
     endpoint-exclusive grid t0 + j*period/N.
 
     Returns (callable, residual): the callable evaluates the exactly
-    periodic truncated series at any t, the residual is the max-abs
-    misfit over the input samples. The discrete Fourier projection on a
+    periodic truncated series at t of any shape (result t.shape + the
+    sample shape), the residual is the max-abs misfit over the input
+    samples. The discrete Fourier projection on a
     uniform grid coincides with least squares whenever N > 2*n_harmonics.
     """
     values = np.asarray(values, dtype=float)
@@ -266,10 +459,11 @@ def fourier_periodic_fit(values, t0, period, n_harmonics):
     k_vec = np.arange(1, h + 1)
 
     def fit(t):
-        phase = 2.0 * math.pi * (t - t0) / period
+        phase = 2.0 * math.pi * (np.asarray(t, dtype=float)[..., None] - t0) \
+            / period
         return (a0
-                + np.tensordot(np.cos(k_vec * phase), a_cos, axes=(0, 0))
-                + np.tensordot(np.sin(k_vec * phase), a_sin, axes=(0, 0)))
+                + np.tensordot(np.cos(k_vec * phase), a_cos, axes=(-1, 0))
+                + np.tensordot(np.sin(k_vec * phase), a_sin, axes=(-1, 0)))
 
     # on the uniform grid the fit is the inverse transform of the kept
     # harmonics (h < n/2, so the Nyquist term is never among them)
@@ -310,6 +504,8 @@ def detect_eigenstructure(lam, nilpotent=False):
     past any cluster tolerance, while the ranks of its powers still show
     the chains plainly.
     """
+    from scipy.linalg import matrix_balance
+
     lam = np.asarray(lam, dtype=float)
     n = lam.shape[0]
     bal, t_bal = matrix_balance(lam)  # lam = t_bal @ bal @ inv(t_bal)
@@ -395,7 +591,7 @@ def _complement_basis(space, exclude):
 
 
 def numeric_modal_decomp(plant_fn, t0, period, n_harmonics=32,
-                         n_samples=1024, tol=DEFAULT_RTOL,
+                         n_samples=1024, tol=DEFAULT_TOL,
                          max_fit_residual=0.1):
     """Full pipeline: periodicity assessment (Fourier fit of the sampled
     plant), STM over one period, real logarithm of the monodromy,
@@ -406,9 +602,10 @@ def numeric_modal_decomp(plant_fn, t0, period, n_harmonics=32,
     is purely diagnostic; near-periodic plants are replaced by their
     periodic trigonometric fit, whose leftover is the discarded
     aperiodic content (must stay under max_fit_residual of the plant
-    scale). plant_fn is called once on the whole sample grid, where it
-    returns a (n_samples, d, d) stack or, for a constant plant, one
-    (d, d) matrix, and on one scalar t at a time inside the integration.
+    scale). plant_fn is called on arrays of times: once on the whole
+    sample grid, then on the integration nodes a block at a time (see
+    integrate_stm); it returns a t.shape + (d, d) stack or, for a
+    constant plant, one (d, d) matrix.
     """
     grid = t0 + period * np.arange(n_samples) / n_samples
     values = np.asarray(plant_fn(grid), dtype=float)
@@ -424,6 +621,12 @@ def numeric_modal_decomp(plant_fn, t0, period, n_harmonics=32,
             f"plant is too aperiodic for a periodic reduction: residual "
             f"{residual:.3e} exceeds {max_fit_residual:.1e} of scale {scale:.3e}"
         )
+    # Liouville: det M = exp of the integral of tr A, the period times the
+    # mean trace of the samples (the periodic trapezoid rule; the fit has
+    # the same mean trace). The samples are freed here, so that they are
+    # not held through the integration's own working set
+    trace_integral = period * values.trace(axis1=1, axis2=2).mean()
+    del values
     integrand = fit if use_fit else plant_fn
     monodromy, stm_at = integrate_stm(integrand, t0, period, tol=tol)
     lam, k = real_matrix_log(monodromy, period)
@@ -432,11 +635,9 @@ def numeric_modal_decomp(plant_fn, t0, period, n_harmonics=32,
     ends = np.array([t0, t0 + period])
     _, defect = lf_from_monodromy(ends, stm_at(ends), lam, t0, k)
     eig = detect_eigenstructure(lam, nilpotent=k is not None)
-    # Liouville: det M = exp of the integral of tr A, the period times the
-    # mean trace of the samples (the periodic trapezoid rule; the fit has
-    # the same mean trace). The miss is scaled by the componentwise
-    # condition number of det, sum_ij |M_ij (M^-1)_ji| >= dim
-    expected = math.exp(period * values.trace(axis1=1, axis2=2).mean())
+    # the Liouville miss is scaled by the componentwise condition number
+    # of det, sum_ij |M_ij (M^-1)_ji| >= dim
+    expected = math.exp(trace_integral)
     cond = np.sum(np.abs(monodromy * np.linalg.inv(monodromy).T))
     liouville = float(abs(np.linalg.det(monodromy) - expected)
                       / (expected * cond))

@@ -16,7 +16,6 @@ callable) with an adaptive high-order Runge-Kutta scheme.
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import InclinationSingularityError, IntegrationError
 from .orbit import _SIN_I_MIN, eval_at_theta
@@ -177,6 +176,8 @@ def propagate_linear(plant_fn, state0, span, steps, rtol=DEFAULT_RTOL,
     grid : ndarray (steps,)
     states : ndarray (steps, len(state0))
     """
+    from scipy.integrate import solve_ivp
+
     if steps < 2:
         raise ValueError("steps must be >= 2")
     s0, s1 = span

@@ -8,7 +8,6 @@ it is used to validate.
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError
 from .orbit import eval_at_theta
@@ -75,6 +74,8 @@ def propagate_twobody(rv0, mu, t_grid, accel_fn=None):
 
     Returns an array (len(t_grid), 6) of inertial states.
     """
+    from scipy.integrate import solve_ivp
+
     r0, v0 = rv0
     y0 = np.concatenate([r0, v0])
 

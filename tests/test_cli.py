@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -489,3 +491,20 @@ def test_unknown_rep_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["modes", "--config", cfg, "--rep", "nope", "--out",
               str(tmp_path / "o")])
+
+
+def test_import_loads_no_scipy():
+    """The closed-form commands start on numpy alone: scipy is imported
+    inside the functions that integrate, and inside the numeric
+    pipeline. A fresh interpreter, since this one has scipy loaded."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, relmodes.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout

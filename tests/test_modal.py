@@ -456,6 +456,17 @@ class TestConstantsDynamics:
         assert (np.linalg.norm(dc_modal - dc_state)
                 < 1e-9 * np.linalg.norm(dc_state))
 
+    @pytest.mark.parametrize("t_grid", [[0.0], [0.0, 0.0], [500.0, 500.0]],
+                             ids=["one-time", "zero-span", "zero-span-late"])
+    def test_zero_span_returns_c0(self, generic_chief, t_grid):
+        """The constants cannot move in zero time (solve_ivp over a zero
+        span returned a list and raised AttributeError)."""
+        c0 = np.array([1e-4, 2e-4, -1e-4, 3e-5, 1e-5, 2e-6])
+        cs = integrate_constants(generic_chief, "cartesian", c0, t_grid,
+                                 control_fn=lambda t, x: np.ones(3) * 1e-9)
+        assert cs.shape == (len(t_grid), 6)
+        assert np.array_equal(cs, np.tile(c0, (len(t_grid), 1)))
+
     @pytest.mark.parametrize("domain", ["qns", "spherical"])
     def test_control_outside_cartesian_rejected(self, generic_chief, domain):
         # the control is an LVLH acceleration: it enters the Cartesian
